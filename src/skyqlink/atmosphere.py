@@ -11,6 +11,7 @@ scintillation index.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -101,7 +102,24 @@ class SlantPath:
             raise ValueError(f"wavelength must be > 0, got {self.wavelength_m}")
 
 
-def _moment(integrand, h_low: float, h_high: float) -> float:
+@functools.lru_cache(maxsize=64)
+def _moment(profile: TurbulenceProfile, weight: str, h_low: float,
+            h_high: float) -> float:
+    """Height integral of Cn^2(h) times the weight named ``"one"``,
+    ``"wind"`` (V(h)^(5/3)) or ``"path"`` ((h - h_low)^(5/6)).
+
+    Zenith and wavelength enter the moments only as closed-form factors,
+    so a sweep over them reuses three integrals per profile and altitude
+    range; the cache holds them.
+    """
+    if weight == "wind":
+        def integrand(h):
+            return profile.cn2(h) * profile.wind(h) ** (5.0 / 3.0)
+    elif weight == "path":
+        def integrand(h):
+            return profile.cn2(h) * (h - h_low) ** (5.0 / 6.0)
+    else:
+        integrand = profile.cn2
     value, _ = quad(integrand, h_low, h_high, **_QUAD_OPTS)
     if not math.isfinite(value):
         raise ArithmeticError("turbulence moment integral is non-finite")
@@ -119,7 +137,7 @@ def fried_r0(profile: TurbulenceProfile, path: SlantPath,
     """
     k = 2.0 * math.pi / path.wavelength_m
     h_top = min(path.h_high_m, h_cap_m)
-    mu0 = _moment(profile.cn2, path.h_low_m, h_top)
+    mu0 = _moment(profile, "one", path.h_low_m, h_top)
     sec_z = 1.0 / math.cos(path.zenith_rad)
     return (0.423 * k * k * sec_z * mu0) ** (-3.0 / 5.0)
 
@@ -135,8 +153,7 @@ def greenwood_frequency(profile: TurbulenceProfile, path: SlantPath,
     slew-rate pseudo-wind of a tracked satellite.
     """
     h_top = min(path.h_high_m, h_cap_m)
-    mu = _moment(lambda h: profile.cn2(h) * profile.wind(h) ** (5.0 / 3.0),
-                 path.h_low_m, h_top)
+    mu = _moment(profile, "wind", path.h_low_m, h_top)
     sec_z = 1.0 / math.cos(path.zenith_rad)
     return 2.31 * path.wavelength_m ** (-6.0 / 5.0) * (sec_z * mu) ** (3.0 / 5.0)
 
@@ -153,8 +170,7 @@ def scintillation_index(profile: TurbulenceProfile, path: SlantPath,
     """
     k = 2.0 * math.pi / path.wavelength_m
     h_top = min(path.h_high_m, h_cap_m)
-    h0 = path.h_low_m
-    mu = _moment(lambda h: profile.cn2(h) * (h - h0) ** (5.0 / 6.0), h0, h_top)
+    mu = _moment(profile, "path", path.h_low_m, h_top)
     sec_z = 1.0 / math.cos(path.zenith_rad)
     si = 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * mu
     if si >= 1.0:

@@ -8,7 +8,8 @@
 (fig2_leo_haps, fig3_haps_laps, fig4_leo_ground); without it the
 all-defaults scenario runs.  CSV goes to stdout unless ``--out`` is
 given.  Exit codes: 0 ok, 2 configuration error, 3 numerical failure.
-``--threads`` changes wall time only, never output bytes.
+``--threads`` is accepted and currently has no effect on output or work:
+every study runs in one thread.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--svg", metavar="PATH",
                         help="also render the study's default figure here")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="worker threads (speed only; output unchanged)")
+                        help="accepted for compatibility; currently has no "
+                             "effect on output or work")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -14,6 +14,19 @@ with error-correction leakage lambda_EC = f_EC n_X h(QBER_X).  Tallies
 are deterministic expected values, which keeps the whole pipeline
 reproducible and matches the smooth key-length curves this model is
 meant to generate; no per-pulse sampling is performed.
+
+:func:`skl_batch` scores an ``(N, 5)`` batch of ``(mu1, mu2, px, p1,
+p2)`` vectors over one :class:`AcquisitionWindow` in array form.  It
+performs the same floating-point operations in the same order as the
+scalar ``skl(simulate_tallies(...))`` path, so the integer key lengths
+agree bit for bit: window sums are taken once per distinct intensity
+through the scalar path's own expression, the exponentials and squares
+of the parameters go through the same Python calls once per distinct
+value, and the logarithmic tail maps the scalar ``phase_error`` and
+``binary_entropy`` over the feasible rows.  Vectors that
+:class:`ProtocolParams` would reject score -1 instead of raising;
+inconsistent tallies still raise.  :func:`optimize_params` scores its
+seeding grid with one kernel call.
 """
 
 from __future__ import annotations
@@ -57,8 +70,9 @@ class ProtocolParams:
         probs = (self.p1, self.p2, self.p3)
         if any(not 0.0 < p < 1.0 for p in probs):
             raise ValueError(f"intensity probabilities must be in (0,1), got {probs}")
-        if abs(sum(probs) - 1.0) > 1e-9:
-            raise ValueError(f"intensity probabilities must sum to 1, got {sum(probs)}")
+        total = self.p1 + self.p2 + self.p3
+        if abs(total - 1.0) > 1e-9:
+            raise ValueError(f"intensity probabilities must sum to 1, got {total}")
         if not 0.0 < self.px < 1.0:
             raise ValueError(f"px must be in (0,1), got {self.px}")
         if self.source_rate <= 0:
@@ -74,8 +88,12 @@ class ProtocolParams:
 
     def tau(self, n: int) -> float:
         """Probability that an emitted pulse carries n photons."""
-        return sum(p * math.exp(-mu) * mu**n / math.factorial(n)
-                   for p, mu in zip(self.probabilities, self.intensities))
+        # Plain left-to-right accumulation, which skl_batch repeats exactly
+        # (sum() compensates float rounding from Python 3.12 on).
+        total = 0.0
+        for p, mu in zip(self.probabilities, self.intensities):
+            total += p * math.exp(-mu) * mu**n / math.factorial(n)
+        return total
 
 
 @dataclass(frozen=True)
@@ -116,15 +134,18 @@ class TallyCounts:
             if arr.shape != (2, 3):
                 raise ValueError(f"tally arrays must have shape (2, 3), got {arr.shape}")
             arr.flags.writeable = False
-        if np.any(self.errored < -1e-9) or np.any(self.errored > self.detected + 1e-9) \
-                or np.any(self.detected > self.sent + 1e-9):
+        if (self.errored < -1e-9).any() or (self.errored > self.detected + 1e-9).any() \
+                or (self.detected > self.sent + 1e-9).any():
             raise ValueError("tallies must satisfy 0 <= errored <= detected <= sent")
 
+    # Three cells added left to right, the order np.sum uses for them.
     def n_basis(self, basis: int) -> float:
-        return float(np.sum(self.detected[basis]))
+        n1, n2, n3 = self.detected[basis].tolist()
+        return n1 + n2 + n3
 
     def m_basis(self, basis: int) -> float:
-        return float(np.sum(self.errored[basis]))
+        m1, m2, m3 = self.errored[basis].tolist()
+        return m1 + m2 + m3
 
 
 class DecoyBounds(NamedTuple):
@@ -156,52 +177,63 @@ def binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _window_arrays(link: Sequence[LinkSample],
-                   window_half: float) -> tuple[np.ndarray, np.ndarray, float]:
-    """Extract (eta, p_noise) arrays for |t| <= window_half and the step."""
-    if window_half <= 0:
-        raise ValueError(f"window_half must be > 0, got {window_half}")
-    t = np.array([s.t_s for s in link])
-    if len(t) < 2:
-        raise ValueError("link must contain at least two samples")
-    steps = np.diff(t)
-    dt = float(steps[0])
-    if np.any(np.abs(steps - dt) > 1e-9 * max(1.0, dt)):
-        raise ValueError("link samples must be uniformly spaced in time")
-    if window_half > float(t[-1]) + dt / 2 or -window_half < float(t[0]) - dt / 2:
-        raise ValueError(
-            f"window_half {window_half} s exceeds the link support "
-            f"[{t[0]}, {t[-1]}] s")
-    keep = np.abs(t) <= window_half + 1e-9
-    eta = np.array([s.eta_sys for s in link])[keep]
-    n_b = np.array([s.background_per_gate for s in link])[keep]
-    p_noise = 1.0 - np.exp(-n_b)
-    return eta, p_noise, dt
+class AcquisitionWindow:
+    """The link samples with |t| <= window_half.
+
+    Holds the per-sample system transmittance ``eta``, the noise-click
+    probability ``p_noise`` and the sample step ``dt``.  Click and error
+    sums are cached per intensity, so every parameter vector scored on
+    the window reuses them.
+    """
+
+    def __init__(self, link: Sequence[LinkSample], window_half: float) -> None:
+        if window_half <= 0:
+            raise ValueError(f"window_half must be > 0, got {window_half}")
+        t = np.array([s.t_s for s in link])
+        if len(t) < 2:
+            raise ValueError("link must contain at least two samples")
+        steps = np.diff(t)
+        dt = float(steps[0])
+        if np.any(np.abs(steps - dt) > 1e-9 * max(1.0, dt)):
+            raise ValueError("link samples must be uniformly spaced in time")
+        if window_half > float(t[-1]) + dt / 2 or -window_half < float(t[0]) - dt / 2:
+            raise ValueError(
+                f"window_half {window_half} s exceeds the link support "
+                f"[{t[0]}, {t[-1]}] s")
+        keep = np.abs(t) <= window_half + 1e-9
+        self.eta = np.array([s.eta_sys for s in link])[keep]
+        n_b = np.array([s.background_per_gate for s in link])[keep]
+        self.p_noise = 1.0 - np.exp(-n_b)
+        self.dt = dt
+        self._sums: dict[tuple[float, float], tuple[float, float]] = {}
+
+    def sums(self, mu: float, e_intrinsic: float) -> tuple[float, float]:
+        """Window sums of the click and error probabilities at intensity mu."""
+        key = (mu, e_intrinsic)
+        cached = self._sums.get(key)
+        if cached is None:
+            no_signal = np.exp(-self.eta * mu)
+            signal = 1.0 - no_signal
+            click = 1.0 - (1.0 - 2.0 * self.p_noise) * no_signal
+            err = signal * e_intrinsic + no_signal * self.p_noise
+            cached = self._sums[key] = (float(np.add.reduce(click)),
+                                        float(np.add.reduce(err)))
+        return cached
 
 
-def _tallies_from_arrays(params: ProtocolParams, eta: np.ndarray,
-                         p_noise: np.ndarray, dt: float,
-                         security: SecurityParams) -> TallyCounts:
-    pulses_per_sample = params.source_rate * dt
-
-    sent = np.zeros((2, 3))
-    detected = np.zeros((2, 3))
-    errored = np.zeros((2, 3))
+def _tallies(params: ProtocolParams, window: AcquisitionWindow,
+             security: SecurityParams) -> TallyCounts:
+    pulses_per_sample = params.source_rate * window.dt
     basis_prob = (params.px**2, (1.0 - params.px) ** 2)
-
-    for k, (mu, p_k) in enumerate(zip(params.intensities, params.probabilities)):
-        no_signal = np.exp(-eta * mu)
-        signal = 1.0 - no_signal
-        click = 1.0 - (1.0 - 2.0 * p_noise) * no_signal
-        err = signal * security.e_intrinsic + no_signal * p_noise
-        click_sum = float(np.sum(click))
-        err_sum = float(np.sum(err))
-        for b in (BASIS_X, BASIS_Z):
-            weight = pulses_per_sample * basis_prob[b] * p_k
-            sent[b, k] = weight * len(eta)
-            detected[b, k] = weight * click_sum
-            errored[b, k] = weight * err_sum
-    return TallyCounts(sent=sent, detected=detected, errored=errored)
+    # weight[b][k]: pulses sifted into basis b at intensity k per sample.
+    weight = [[pulses_per_sample * basis_prob[b] * p_k for p_k in params.probabilities]
+              for b in (BASIS_X, BASIS_Z)]
+    sums = [window.sums(mu, security.e_intrinsic) for mu in params.intensities]
+    n_samples = len(window.eta)
+    return TallyCounts(
+        sent=np.array([[w * n_samples for w in row] for row in weight]),
+        detected=np.array([[w * c for w, (c, _) in zip(row, sums)] for row in weight]),
+        errored=np.array([[w * e for w, (_, e) in zip(row, sums)] for row in weight]))
 
 
 def simulate_tallies(params: ProtocolParams, link: Sequence[LinkSample],
@@ -218,8 +250,7 @@ def simulate_tallies(params: ProtocolParams, link: Sequence[LinkSample],
     ``e_intrinsic``; a noise-only click errs half the time.  Sifting keeps
     the px^2 / (1-px)^2 fractions where both parties chose X / Z.
     """
-    eta, p_noise, dt = _window_arrays(link, window_half)
-    return _tallies_from_arrays(params, eta, p_noise, dt, security)
+    return _tallies(params, AcquisitionWindow(link, window_half), security)
 
 
 def decoy_bounds(tallies: TallyCounts, params: ProtocolParams,
@@ -246,10 +277,10 @@ def decoy_bounds(tallies: TallyCounts, params: ProtocolParams,
     """
     mu = params.intensities
     prob = params.probabilities
-    n_cells = tallies.detected[basis]
-    m_cells = tallies.errored[basis]
-    n_tot = float(np.sum(n_cells))
-    m_tot = float(np.sum(m_cells))
+    n_cells = tallies.detected[basis].tolist()
+    m_cells = tallies.errored[basis].tolist()
+    n_tot = tallies.n_basis(basis)
+    m_tot = tallies.m_basis(basis)
     if n_tot <= 0.0:
         return DecoyBounds(0.0, 0.0, 0.0, False)
 
@@ -279,7 +310,7 @@ def decoy_bounds(tallies: TallyCounts, params: ProtocolParams,
           / denom)
 
     v1 = max(0.0, tau1 * (m_plus[1] - m_minus[2]) / mu23)
-    return DecoyBounds(float(s0), float(s1), float(v1), bool(s1 > 0.0))
+    return DecoyBounds(s0, s1, v1, s1 > 0.0)
 
 
 def _gamma_correction(a: float, b: float, c: float, d: float) -> float:
@@ -336,6 +367,117 @@ def skl(tallies: TallyCounts, params: ProtocolParams,
     return FiniteKeyResult(bits, qber, phi, bx.s0, bx.s1, bz.v1, True)
 
 
+def _per_value(fn, values: np.ndarray) -> np.ndarray:
+    """``fn`` applied once per distinct entry of ``values``, broadcast back."""
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return np.array([fn(v) for v in distinct.tolist()])[inverse]
+
+
+def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
+              security: SecurityParams, mu3: float = 0.0,
+              source_rate: float = 2e8) -> np.ndarray:
+    """Secret-key length of each ``(mu1, mu2, px, p1, p2)`` row, in bits.
+
+    Equals ``skl(simulate_tallies(...)).skl`` row by row, with -1 where
+    :class:`ProtocolParams` rejects the vector (p3 = 1 - p1 - p2).
+    """
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, 5)
+    bits = np.full(len(vectors), -1, dtype=np.int64)
+    if source_rate <= 0:
+        return bits
+    mu1, mu2, px, p1, p2 = vectors.T
+    p3 = 1.0 - p1 - p2
+    valid = ((mu1 > mu2) & (mu2 > mu3) & (mu3 >= 0.0) & (mu1 > mu2 + mu3)
+             & (p1 > 0.0) & (p1 < 1.0) & (p2 > 0.0) & (p2 < 1.0)
+             & (p3 > 0.0) & (p3 < 1.0) & ~(np.abs(p1 + p2 + p3 - 1.0) > 1e-9)
+             & (px > 0.0) & (px < 1.0))
+    if not valid.any():
+        return bits
+    mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))
+    n = len(mu1)
+
+    def intensity_terms(mu: float) -> tuple[float, ...]:
+        return window.sums(mu, security.e_intrinsic) + (
+            math.exp(mu), math.exp(-mu), mu**2)
+
+    terms = _per_value(intensity_terms, np.concatenate([mu1, mu2, [mu3]]))
+    mu = (mu1, mu2, mu3)
+    prob = (p1, p2, p3)
+    # Each name below is a 3-tuple over the intensities (mu1, mu2, mu3).
+    click, err, exp_mu, exp_neg, mu_sq = zip(
+        terms[:n].T, terms[n:2 * n].T, terms[2 * n])
+    basis_prob = _per_value(lambda x: (x**2, (1.0 - x) ** 2), px).T
+
+    # Tallies, as _tallies builds them.
+    pulses_per_sample = source_rate * window.dt
+    sent, detected, errored = [], [], []
+    for b in (BASIS_X, BASIS_Z):
+        weight = [pulses_per_sample * basis_prob[b] * prob[k] for k in range(3)]
+        sent.append([w * len(window.eta) for w in weight])
+        detected.append([w * c for w, c in zip(weight, click)])
+        errored.append([w * e for w, e in zip(weight, err)])
+    sent, detected, errored = (np.array(a) for a in (sent, detected, errored))
+    if (errored < -1e-9).any() or (errored > detected + 1e-9).any() \
+            or (detected > sent + 1e-9).any():
+        raise ValueError("tallies must satisfy 0 <= errored <= detected <= sent")
+
+    # Decoy bounds per basis, as decoy_bounds computes them.
+    log_eps = math.log(1.0 / (security.eps_sec / 21.0))
+    tau0 = tau1 = 0.0
+    for k in range(3):
+        tau0 += prob[k] * exp_neg[k]
+        tau1 += prob[k] * exp_neg[k] * mu[k]
+    mu23 = mu2 - mu3
+    denom = mu1 * mu23 - mu_sq[1] + mu_sq[2]
+    bounds = []
+    # Like the scalar floats, overflow to inf and NaN pass silently.
+    with np.errstate(all="ignore"):
+        scale = [exp_mu[k] / prob[k] for k in range(3)]
+        for b in (BASIS_X, BASIS_Z):
+            n_cells, m_cells = detected[b], errored[b]
+            n_tot = n_cells[0] + n_cells[1] + n_cells[2]
+            m_tot = m_cells[0] + m_cells[1] + m_cells[2]
+            if ((n_tot > 0.0) & ((tau0 == 0.0) | (mu_sq[0] == 0.0)
+                                 | (denom == 0.0))).any():
+                raise ZeroDivisionError("float division by zero")
+            delta_n = np.sqrt(n_tot / 2.0 * log_eps)
+            delta_m = np.where(m_tot > 0, np.sqrt(m_tot / 2.0 * log_eps), 0.0)
+            n_plus = [scale[k] * (n_cells[k] + delta_n) for k in range(3)]
+            n_minus = [scale[k] * (n_cells[k] - delta_n) for k in range(3)]
+            m_plus = scale[1] * (m_cells[1] + delta_m)
+            m_minus = scale[2] * (m_cells[2] - delta_m)
+            s0 = tau0 * (mu2 * n_minus[2] - mu3 * n_plus[1]) / mu23
+            s0 = np.where(s0 > 0.0, s0, 0.0)
+            s1 = (tau1 * mu1
+                  * (n_minus[1] - n_plus[2]
+                     - (mu_sq[1] - mu_sq[2]) / mu_sq[0] * (n_plus[0] - s0 / tau0))
+                  / denom)
+            v1 = tau1 * (m_plus - m_minus) / mu23
+            v1 = np.where(v1 > 0.0, v1, 0.0)
+            bounds.append((n_tot, m_tot, s0, s1, v1))
+    (n_x, m_x, s0_x, s1_x, _), (n_z, _, _, s1_z, v1_z) = bounds
+
+    # Key length over the feasible rows, through the scalar libm calls.
+    feasible = (n_x > 0.0) & (n_z > 0.0) & (s1_x > 0.0) & (s1_z > 0.0)
+    n_x, m_x, s0_x, s1_x, s1_z, v1_z = (
+        a[feasible] for a in (n_x, m_x, s0_x, s1_x, s1_z, v1_z))
+    phi = np.array([phase_error(s_z1, min(v_z1, s_z1), s_x1, security)
+                    for s_z1, v_z1, s_x1 in zip(s1_z.tolist(), v1_z.tolist(),
+                                                s1_x.tolist())])
+    h_phi = np.array([binary_entropy(x) for x in phi.tolist()])
+    h_qber = np.array([binary_entropy(x) for x in (m_x / n_x).tolist()])
+    length = (s0_x + s1_x * (1.0 - h_phi) - security.f_ec * n_x * h_qber
+              - 6.0 * math.log2(21.0 / security.eps_sec)
+              - math.log2(2.0 / security.eps_cor))
+    if not np.all(np.isfinite(length)):
+        raise ArithmeticError("secret-key length is not finite")
+    key = np.maximum(0.0, np.minimum(np.floor(length), np.floor(n_x)))
+    scored = np.zeros(n, dtype=np.int64)
+    scored[feasible] = key
+    bits[valid] = scored
+    return bits
+
+
 @dataclass(frozen=True)
 class BoundsBox:
     """Closed search ranges for the five optimised protocol parameters."""
@@ -371,24 +513,22 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
                     n_starts: int = 3) -> tuple[ProtocolParams, FiniteKeyResult]:
     """Maximise the window SKL over (mu1, mu2, px, p1, p2).
 
-    A deterministic ``grid_points``-per-axis seeding grid is evaluated
-    first; the ``n_starts`` best grid points seed bounded Nelder-Mead
-    descents.  The reported result is the best of all probes, so it can
-    never fall below the best grid value.  Ties break toward lower mu1,
-    then lexicographic parameter order, keeping the outcome independent
-    of evaluation order.
+    A deterministic ``grid_points``-per-axis seeding grid is scored in one
+    :func:`skl_batch` call; the ``n_starts`` best grid points seed bounded
+    Nelder-Mead descents on the scalar path.  The reported result is the
+    best of all probes, so it can never fall below the best grid value.
+    Ties break toward lower mu1, then lexicographic parameter order,
+    keeping the outcome independent of evaluation order.
     """
     box = (bounds_box or BoundsBox()).as_list()
-    eta, p_noise, dt = _window_arrays(link, window_half)
+    lower, upper = [lo for lo, _ in box], [hi for _, hi in box]
+    window = AcquisitionWindow(link, window_half)
 
-    def evaluate(vec: Sequence[float]) -> tuple[int, ProtocolParams | None,
-                                                FiniteKeyResult | None]:
+    def score(vec: Sequence[float]) -> int:
         params = _params_from_vector(vec, mu3, source_rate)
         if params is None:
-            return -1, None, None
-        tallies = _tallies_from_arrays(params, eta, p_noise, dt, security)
-        result = skl(tallies, params, security)
-        return result.skl, params, result
+            return -1
+        return skl(_tallies(params, window, security), params, security).skl
 
     def better(cand: tuple, best: tuple) -> bool:
         # (skl, vector) ordering: higher skl, then lower mu1, then lexicographic.
@@ -397,18 +537,12 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
         return tuple(cand[1]) < tuple(best[1])
 
     axes = [np.linspace(lo, hi, grid_points) for lo, hi in box]
-    grid_scores: list[tuple[int, tuple[float, ...]]] = []
-    for i1 in axes[0]:
-        for i2 in axes[1]:
-            for i3 in axes[2]:
-                for i4 in axes[3]:
-                    for i5 in axes[4]:
-                        vec = (float(i1), float(i2), float(i3), float(i4), float(i5))
-                        score, _, _ = evaluate(vec)
-                        grid_scores.append((score, vec))
-
-    ranked = sorted(grid_scores, key=lambda sv: (-sv[0], sv[1]))
-    best_score, best_vec = ranked[0]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
+    grid_scores = skl_batch(grid, window, security, mu3, source_rate)
+    # Rank by (-score, vector), the vector columns breaking ties in order.
+    ranked = np.lexsort(tuple(grid.T[::-1]) + (-grid_scores,))[:n_starts]
+    best_score = int(grid_scores[ranked[0]])
+    best_vec = tuple(grid[ranked[0]].tolist())
 
     if best_score <= 0:
         params = _params_from_vector(best_vec, mu3, source_rate)
@@ -418,26 +552,21 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
         if params is None:
             raise ValueError(
                 "bounds box contains no valid protocol-parameter combination")
-        tallies = simulate_tallies(params, link, window_half, security)
-        return params, skl(tallies, params, security)
+        return params, skl(_tallies(params, window, security), params, security)
 
     def objective(vec: np.ndarray) -> float:
-        score, _, _ = evaluate(np.clip(vec, [lo for lo, _ in box],
-                                       [hi for _, hi in box]))
-        return -float(score)
+        return -float(score(np.clip(vec, lower, upper)))
 
     fatol = max(1.0, 1e-3 * best_score)
-    for _, start in ranked[:n_starts]:
-        res = minimize(objective, np.array(start), method="Nelder-Mead",
+    for start in grid[ranked]:
+        res = minimize(objective, start, method="Nelder-Mead",
                        bounds=box,
                        options={"fatol": fatol, "xatol": 1e-4,
                                 "maxiter": 400, "disp": False})
-        refined = tuple(float(v) for v in np.clip(
-            res.x, [lo for lo, _ in box], [hi for _, hi in box]))
-        score, _, _ = evaluate(refined)
-        if better((score, refined), (best_score, best_vec)):
-            best_score, best_vec = score, refined
+        refined = tuple(float(v) for v in np.clip(res.x, lower, upper))
+        refined_score = score(refined)
+        if better((refined_score, refined), (best_score, best_vec)):
+            best_score, best_vec = refined_score, refined
 
     params = _params_from_vector(best_vec, mu3, source_rate)
-    tallies = simulate_tallies(params, link, window_half, security)
-    return params, skl(tallies, params, security)
+    return params, skl(_tallies(params, window, security), params, security)

@@ -167,19 +167,26 @@ SCHEMA: dict[str, dict[str, _Key]] = {
 }
 
 
+def _finite(raw: str) -> float:
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _parse_value(kind: str, raw: str, line: int, column: int, where: str) -> Any:
     try:
         if kind == "float":
-            return float(raw)
+            return _finite(raw)
         if kind == "int":
-            value = float(raw)
+            value = _finite(raw)
             if value != int(value):
                 raise ValueError("not an integer")
             return int(value)
         if kind == "str":
             return raw
         if kind == "float_list":
-            return tuple(float(part.strip()) for part in raw.split(",") if part.strip())
+            return tuple(_finite(part) for part in raw.split(",") if part.strip())
         if kind == "str_list":
             return tuple(part.strip() for part in raw.split(",") if part.strip())
     except ValueError as exc:

@@ -4,14 +4,13 @@ Each ``run_*`` function turns a resolved scenario into a deterministic
 :class:`StudyReport`: fixed column order, rows in sweep order, and
 metadata lines that echo every resolved configuration value (so a report
 header replayed as a scenario reproduces the report byte for byte).
-Thread counts only change wall time, never output bytes.
+Every study runs in the calling thread.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -190,7 +189,12 @@ def run_pass(scenario: Scenario) -> StudyReport:
 
 
 def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
-    """Optimised secret-key length per window half-width and PE level."""
+    """Optimised secret-key length per window half-width and PE level.
+
+    ``threads`` is accepted for compatibility and has no effect: each
+    window's seeding grid is one array kernel call, and Python threads
+    would only contend for the interpreter lock.
+    """
     pass_geometry = build_pass(scenario)
     env = build_noise(scenario)
     security = build_security(scenario)
@@ -200,36 +204,26 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     mu3 = proto["mu3"]
     dt_values = scenario.values["skl"]["dt_values_s"]
 
-    jobs = []
+    rows = []
     for label, sigma in pointing_levels(scenario):
         link = link_timeseries(pass_geometry, build_budget(scenario, sigma), env)
         for dt_half in dt_values:
-            jobs.append((label, dt_half, link))
-
-    def solve(job):
-        label, dt_half, link = job
-        try:
-            params, result = optimize_params(
-                link, dt_half, security, box, mu3=mu3, source_rate=source_rate)
-        except (ValueError, ArithmeticError) as exc:
-            raise StudyNumericalError(
-                f"skl study failed at pe={label} dt_s={dt_half}: {exc}") from exc
-        return (dt_half, label, float(result.skl), result.qber_key_basis,
-                result.phase_error_bound, params.mu1, params.mu2, params.px,
-                params.p1, params.p2)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(solve, jobs))
-    else:
-        rows = [solve(job) for job in jobs]
+            try:
+                params, result = optimize_params(
+                    link, dt_half, security, box, mu3=mu3, source_rate=source_rate)
+            except (ValueError, ArithmeticError) as exc:
+                raise StudyNumericalError(
+                    f"skl study failed at pe={label} dt_s={dt_half}: {exc}") from exc
+            rows.append((dt_half, label, float(result.skl), result.qber_key_basis,
+                         result.phase_error_bound, params.mu1, params.mu2,
+                         params.px, params.p1, params.p2))
 
     columns = ("dt_s", "pe_label", "skl_bits", "qber", "phase_err",
                "mu1", "mu2", "px", "p1", "p2")
     return _report(scenario, "skl", columns, rows)
 
 
-def run_fidelity(scenario: Scenario, threads: int = 1) -> StudyReport:
+def run_fidelity(scenario: Scenario) -> StudyReport:
     """Entanglement fidelity vs background radiance, PE level, divergence."""
     sec_pass = scenario.values["pass"]
     link = scenario.values["link"]
@@ -267,7 +261,7 @@ def run_fidelity(scenario: Scenario, threads: int = 1) -> StudyReport:
     return _report(scenario, "fidelity", columns, rows)
 
 
-def run_turbulence(scenario: Scenario, threads: int = 1) -> StudyReport:
+def run_turbulence(scenario: Scenario) -> StudyReport:
     """Greenwood frequency, Fried length and SI versus zenith angle."""
     turb = scenario.values["turbulence"]
     sec_pass = scenario.values["pass"]
@@ -336,9 +330,7 @@ PLOT_RECIPES = {
 
 
 def run_study(study: str, scenario: Scenario, threads: int = 1) -> StudyReport:
+    """Run one study; ``threads`` is accepted and has no effect."""
     if study not in STUDIES:
         raise ValueError(f"unknown study {study!r}; expected one of {sorted(STUDIES)}")
-    fn = STUDIES[study]
-    if study == "pass":
-        return fn(scenario)
-    return fn(scenario, threads=threads)
+    return STUDIES[study](scenario)

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyqlink.channel import LinkSample
+from skyqlink.channel import LinkSample, link_timeseries
 from skyqlink.finitekey import (
     BASIS_X,
     BASIS_Z,
+    AcquisitionWindow,
     BoundsBox,
     ProtocolParams,
     SecurityParams,
@@ -21,6 +22,16 @@ from skyqlink.finitekey import (
     phase_error,
     simulate_tallies,
     skl,
+    skl_batch,
+)
+from skyqlink.scenario import parse_scenario
+from skyqlink.scenarios import bundled_path
+from skyqlink.studies import (
+    build_budget,
+    build_noise,
+    build_pass,
+    build_security,
+    pointing_levels,
 )
 
 SEC = SecurityParams()
@@ -298,3 +309,93 @@ class TestProtocolParams:
         p = ProtocolParams(mu1=0.5, mu2=0.1, mu3=0.0, p1=0.5, p2=0.3, p3=0.2)
         expected = 0.5 * math.exp(-0.5) * 0.5 + 0.3 * math.exp(-0.1) * 0.1
         assert p.tau(1) == pytest.approx(expected, rel=1e-12)
+
+
+def scalar_bits(vec, link, window_half, security, mu3=0.0):
+    """Reference: -1 where ProtocolParams rejects the vector, else scalar SKL."""
+    mu1, mu2, px, p1, p2 = (float(v) for v in vec)
+    try:
+        params = ProtocolParams(mu1=mu1, mu2=mu2, mu3=mu3, p1=p1, p2=p2,
+                                p3=1.0 - p1 - p2, px=px)
+    except ValueError:
+        return -1
+    return skl(simulate_tallies(params, link, window_half, security),
+               params, security).skl
+
+
+# Vectors inside the default BoundsBox (mostly valid), plus values at and
+# beyond its edges so that rows with p3 <= 0, mu1 <= mu2, mu2 <= mu3 and
+# px in {0, 1} all occur.
+_edge = st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.35, 0.5, 0.8, 0.9, 1.0])
+_unit = st.one_of(_edge, st.floats(min_value=0.0, max_value=1.0))
+_vector = st.one_of(
+    st.tuples(*(st.floats(min_value=lo, max_value=hi)
+                for lo, hi in BoundsBox().as_list())),
+    st.tuples(st.one_of(_edge, st.floats(min_value=0.0, max_value=1.2)),
+              _unit, _unit, _unit, _unit))
+
+
+@st.composite
+def uniform_links(draw):
+    """Uniform-time link centred on t = 0 and a window inside its support."""
+    n_samples = draw(st.integers(min_value=3, max_value=60))
+    step = draw(st.floats(min_value=0.1, max_value=5.0))
+    eta_level = draw(st.sampled_from([0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2]))
+    noise_level = draw(st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-3]))
+    factor = st.floats(min_value=0.0, max_value=1.0)
+    half = (n_samples - 1) // 2
+    link = [LinkSample((i - half) * step, eta_level * draw(factor),
+                       noise_level * draw(factor))
+            for i in range(n_samples)]
+    fraction = draw(st.floats(min_value=0.01, max_value=0.98))
+    return link, fraction * (half + 0.5) * step
+
+
+class TestSklBatch:
+    @given(st.lists(_vector, min_size=1, max_size=30), uniform_links(),
+           st.sampled_from([0.0, 0.02]),
+           st.sampled_from([SEC, SecurityParams(eps_sec=1e-6, eps_cor=1e-10,
+                                                f_ec=1.1, e_intrinsic=0.03)]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scalar_path(self, vectors, link_window, mu3, security):
+        link, window_half = link_window
+        window = AcquisitionWindow(link, window_half)
+        try:
+            expected = [scalar_bits(v, link, window_half, security, mu3)
+                        for v in vectors]
+        except (ValueError, ArithmeticError):
+            # Both paths refuse a batch with inconsistent tallies or a
+            # non-finite key length.
+            with pytest.raises((ValueError, ArithmeticError)):
+                skl_batch(np.array(vectors), window, security, mu3=mu3)
+            return
+        bits = skl_batch(np.array(vectors), window, security, mu3=mu3)
+        assert bits.tolist() == expected
+
+    def test_full_grid_on_fig2_window(self):
+        # Criterion 5's window: fig2 recipe, weak PE, dt = 50 s.
+        scenario = parse_scenario(bundled_path("fig2_leo_haps"))
+        security = build_security(scenario)
+        _, sigma = pointing_levels(scenario)[0]
+        link = link_timeseries(build_pass(scenario), build_budget(scenario, sigma),
+                               build_noise(scenario))
+        axes = [np.linspace(lo, hi, 5) for lo, hi in BoundsBox().as_list()]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
+        bits = skl_batch(grid, AcquisitionWindow(link, 50.0), security)
+        assert bits.tolist() == [scalar_bits(v, link, 50.0, security) for v in grid]
+        assert (bits == -1).any() and (bits > 0).any()
+
+    def test_inconsistent_tallies_raise(self):
+        # Noise clicks above 1/2 per gate push detections past pulses sent.
+        link = flat_link(1e-3, n_b=2.0)
+        with pytest.raises(ValueError, match="tallies must satisfy"):
+            simulate_tallies(PARAMS, link, 50.0, SEC)
+        with pytest.raises(ValueError, match="tallies must satisfy"):
+            skl_batch(np.array([[0.8, 0.1, 0.7, 0.7, 0.2]]),
+                      AcquisitionWindow(link, 50.0), SEC)
+
+    def test_all_invalid_batch(self):
+        bits = skl_batch(np.array([[0.1, 0.5, 0.7, 0.6, 0.2],
+                                   [0.8, 0.1, 0.7, 0.6, 0.5]]),
+                         AcquisitionWindow(flat_link(1e-3), 50.0), SEC)
+        assert bits.tolist() == [-1, -1]

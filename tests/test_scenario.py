@@ -79,6 +79,27 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match="cannot read"):
             parse_scenario("/nonexistent/path.scn")
 
+    @pytest.mark.parametrize("text", [
+        "[pass]\ntx_altitude_km = inf\n",
+        "[link]\nwavelength_nm = inf\n",
+        "[noise]\nradiance_w_m2_nm_sr = +Infinity\n",
+        "[link]\neta_tx = nan\n",
+        "[pass]\nrx_altitude_km = -inf\n",
+        "[link]\ndivergence_urad = 1e999\n",
+        "[turbulence]\nzenith_points = inf\n",
+        "[fidelity]\nradiance_points = NaN\n",
+        "[skl]\ndt_values_s = 10, inf, 30\n",
+        "[turbulence]\nwavelengths_nm = nan\n",
+    ])
+    def test_non_finite_numbers_rejected(self, text):
+        with pytest.raises(ScenarioError,
+                           match=r"not a finite number \(line 2, column 1\)"):
+            parse_scenario_text(text)
+
+    def test_non_finite_rejected_in_config_lines(self):
+        with pytest.raises(ScenarioError, match="not a finite number"):
+            scenario_from_config_lines(["link.wavelength_nm = inf"])
+
 
 class TestDigestAndRoundTrip:
     def test_digest_stable_across_formatting(self):

@@ -168,6 +168,20 @@ class TestCli:
         assert "configuration error" in proc.stderr
         assert "line 2" in proc.stderr
 
+    @pytest.mark.parametrize("study, text", [
+        ("pass", "[pass]\ntx_altitude_km = inf\n"),
+        ("turbulence", "[turbulence]\nzenith_points = inf\n"),
+        ("pass", "[link]\nwavelength_nm = inf\n"),
+    ])
+    def test_non_finite_value_exit_2(self, tmp_path, study, text):
+        bad = tmp_path / "bad.scn"
+        bad.write_text(text)
+        proc = run_cli(study, "--scenario", str(bad))
+        assert proc.returncode == 2
+        assert "not a finite number (line 2, column 1)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     def test_missing_scenario_exit_2(self):
         proc = run_cli("pass", "--scenario", "/no/such/file.scn")
         assert proc.returncode == 2
