@@ -89,6 +89,11 @@ def main(argv: list[str] | None = None) -> int:
     except StudyNumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except (ValueError, ArithmeticError) as exc:
+        # Raised outside a study's per-point guards, e.g. while building
+        # the pass or the turbulence profile.
+        print(f"numerical failure: {study} study failed: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
     if args.svg:
         try:

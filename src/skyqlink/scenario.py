@@ -44,6 +44,18 @@ def _prob_open(v: float) -> str | None:
     return None if 0.0 < v < 1.0 else "must be in (0, 1)"
 
 
+def _at_most(cap: float, low: Callable[[float], str | None]
+             ) -> Callable[[float], str | None]:
+    def check(v: float) -> str | None:
+        return low(v) or (None if v <= cap else f"must be <= {cap:g}")
+    return check
+
+
+def _intensity(v: float) -> str | None:
+    # Smaller intensities underflow mu1**2 and the decoy-bound denominator.
+    return None if v >= 1e-6 else "must be >= 1e-06"
+
+
 def _angle_deg(v: float) -> str | None:
     return None if 0.0 <= v <= 90.0 else "must be in [0, 90] degrees"
 
@@ -84,8 +96,8 @@ class _Key:
 SCHEMA: dict[str, dict[str, _Key]] = {
     "pass": {
         "geometry": _Key("orbital", "str", _choice("orbital", "static")),
-        "tx_altitude_km": _Key(535.0, "float", _positive),
-        "rx_altitude_km": _Key(20.0, "float", _non_negative),
+        "tx_altitude_km": _Key(535.0, "float", _at_most(1e5, _positive)),
+        "rx_altitude_km": _Key(20.0, "float", _at_most(1e5, _non_negative)),
         "max_elevation_deg": _Key(90.0, "float", _angle_deg),
         "horizon_elevation_deg": _Key(10.0, "float", _angle_deg),
         "sample_interval_s": _Key(1.0, "float", _positive),
@@ -119,10 +131,10 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "mu3": _Key(0.0, "float", _non_negative),
     },
     "optimizer": {
-        "mu1_min": _Key(0.3, "float", _positive),
-        "mu1_max": _Key(1.0, "float", _positive),
-        "mu2_min": _Key(0.05, "float", _positive),
-        "mu2_max": _Key(0.35, "float", _positive),
+        "mu1_min": _Key(0.3, "float", _intensity),
+        "mu1_max": _Key(1.0, "float", _intensity),
+        "mu2_min": _Key(0.05, "float", _intensity),
+        "mu2_max": _Key(0.35, "float", _intensity),
         "px_min": _Key(0.5, "float", _prob_open),
         "px_max": _Key(0.9, "float", _prob_open),
         "p1_min": _Key(0.3, "float", _prob_open),
@@ -152,7 +164,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "radiance_points": _Key(25, "int", lambda v: None if v >= 2 else "need >= 2"),
     },
     "turbulence": {
-        "ground_cn2": _Key(1.7e-14, "float", _positive),
+        "ground_cn2": _Key(1.7e-14, "float", _at_most(1e-10, _positive)),
         "rms_wind_ms": _Key(21.0, "float", _positive),
         "ground_wind_ms": _Key(5.0, "float", _non_negative),
         "slew_mode": _Key("fixed", "str", _choice("fixed", "pass_peak")),

@@ -1,12 +1,14 @@
 """Finite-key decoy-state BB84: tallies, bounds, SKL, optimisation."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skyqlink import finitekey
 from skyqlink.channel import LinkSample, link_timeseries
 from skyqlink.finitekey import (
     BASIS_X,
@@ -27,6 +29,7 @@ from skyqlink.finitekey import (
 from skyqlink.scenario import parse_scenario
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
+    build_bounds_box,
     build_budget,
     build_noise,
     build_pass,
@@ -399,3 +402,52 @@ class TestSklBatch:
                                    [0.8, 0.1, 0.7, 0.6, 0.5]]),
                          AcquisitionWindow(flat_link(1e-3), 50.0), SEC)
         assert bits.tolist() == [-1, -1]
+
+
+def fig2_weak_window():
+    """Criterion 5's window (fig2 recipe, weak PE, dt = 50 s) as a search case."""
+    scenario = parse_scenario(bundled_path("fig2_leo_haps"))
+    _, sigma = pointing_levels(scenario)[0]
+    link = link_timeseries(build_pass(scenario), build_budget(scenario, sigma),
+                           build_noise(scenario))
+    return link, 50.0, build_security(scenario), build_bounds_box(scenario)
+
+
+SEARCH_CASES = {
+    "fig2_weak_dt50": fig2_weak_window,
+    "flat_link": lambda: (flat_link(2e-4, 1e-7), 100.0, SEC, BoundsBox()),
+    "flat_link_dead": lambda: (flat_link(0.0, 0.0), 50.0, SEC, BoundsBox()),
+}
+
+
+@pytest.fixture(params=sorted(SEARCH_CASES))
+def searched(request, monkeypatch):
+    """One optimize_params run, with the scalar skl calls it made counted."""
+    link, window_half, security, box = SEARCH_CASES[request.param]()
+    calls = []
+
+    def counted_skl(*args):
+        calls.append(args)
+        return skl(*args)
+
+    monkeypatch.setattr(finitekey, "skl", counted_skl)
+    params, result = optimize_params(link, window_half, security, box)
+    return SimpleNamespace(link=link, window_half=window_half, security=security,
+                           box=box, params=params, result=result,
+                           skl_calls=len(calls))
+
+
+class TestStencilSearch:
+    def test_chosen_vector_inside_box(self, searched):
+        p = searched.params
+        for value, (lo, hi) in zip((p.mu1, p.mu2, p.px, p.p1, p.p2),
+                                   searched.box.as_list()):
+            assert lo <= value <= hi
+
+    def test_result_is_the_scalar_oracle_at_the_chosen_params(self, searched):
+        tallies = simulate_tallies(searched.params, searched.link,
+                                   searched.window_half, searched.security)
+        assert searched.result == skl(tallies, searched.params, searched.security)
+
+    def test_one_scalar_skl_call_per_window(self, searched):
+        assert searched.skl_calls == 1

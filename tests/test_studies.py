@@ -1,5 +1,6 @@
 """Study orchestration: CSV schemas, determinism, SVG rendering, CLI."""
 
+import dataclasses
 import subprocess
 import sys
 
@@ -19,6 +20,7 @@ from skyqlink.svg import AxesSpec, render_svg
 
 FIG3 = parse_scenario(bundled_path("fig3_haps_laps"))
 FIG4 = parse_scenario(bundled_path("fig4_leo_ground"))
+FIG4_TEXT = bundled_path("fig4_leo_ground").read_text()
 
 # Small orbital scenario keeping pass-based tests fast.
 FAST_PASS = parse_scenario_text(
@@ -83,6 +85,15 @@ class TestRunTurbulence:
     def test_strong_scintillation_warned(self):
         report = run_turbulence(FIG4)
         assert any("weak-fluctuation" in w for w in report.warnings)
+
+    def test_non_finite_cell_is_a_numerical_error(self):
+        # Past the parser's Cn2 cap, the scintillation index overflows.
+        values = {section: dict(keys) for section, keys in FIG4.values.items()}
+        values["turbulence"]["ground_cn2"] = 1e300
+        scenario = dataclasses.replace(FIG4, values=values)
+        with pytest.raises(StudyNumericalError,
+                           match="turbulence study produced a non-finite si"):
+            run_turbulence(scenario)
 
 
 class TestReportSerialisation:
@@ -181,6 +192,28 @@ class TestCli:
         assert "not a finite number (line 2, column 1)" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("study, text, code", [
+        ("skl", "[optimizer]\nmu1_min = 1e-200\nmu2_min = 1e-201\n", 2),
+        ("pass", "[pass]\ntx_altitude_km = 1e300\n", 2),
+        ("turbulence", FIG4_TEXT.replace("ground_cn2 = 1.7e-14",
+                                         "ground_cn2 = 1e300"), 2),
+        ("pass", FIG4_TEXT.replace("tx_altitude_km = 535",
+                                   "tx_altitude_km = 1e-12"), 3),
+        ("turbulence", FIG4_TEXT.replace("tx_altitude_km = 535",
+                                         "tx_altitude_km = 1e-12"), 3),
+    ], ids=["tiny-intensity", "huge-altitude", "fig4-huge-cn2",
+            "fig4-tiny-altitude-pass", "fig4-tiny-altitude-turbulence"])
+    def test_extreme_values_fail_cleanly(self, tmp_path, study, text, code):
+        scenario, out = tmp_path / "case.scn", tmp_path / "out.csv"
+        scenario.write_text(text)
+        proc = run_cli(study, "--scenario", str(scenario), "--out", str(out))
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        cells = [] if not out.exists() else [
+            cell.strip().lower() for line in out.read_text().splitlines()
+            if not line.startswith("#") for cell in line.split(",")]
+        assert not {"inf", "-inf", "nan"} & set(cells)
 
     def test_missing_scenario_exit_2(self):
         proc = run_cli("pass", "--scenario", "/no/such/file.scn")
