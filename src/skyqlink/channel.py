@@ -5,7 +5,8 @@ jitter (through the equivalent-beam closed form), and fixed optics,
 atmosphere and detector efficiencies into one per-time-step system
 transmittance, plus the background/dark count rate seen per detection
 gate.  Free-space direct detection onto single-photon detectors is
-assumed (no fibre-coupling term).
+assumed (no fibre-coupling term).  Ranges may be floats or arrays: a whole
+pass or sweep is one channel evaluation, not one per sample.
 """
 
 from __future__ import annotations
@@ -122,13 +123,13 @@ class NoiseEnvironment:
     def __post_init__(self) -> None:
         for name in ("spectral_radiance", "fov", "filter_bandwidth",
                      "gate_time", "dark_count_rate"):
-            if getattr(self, name) < 0:
+            if np.any(np.asarray(getattr(self, name)) < 0):
                 raise ValueError(f"{name} must be >= 0")
 
 
 class SystemLoss(NamedTuple):
-    transmittance: float
-    db: float
+    transmittance: float | np.ndarray
+    db: float | np.ndarray
 
 
 class LinkSample(NamedTuple):
@@ -139,9 +140,9 @@ class LinkSample(NamedTuple):
     background_per_gate: float
 
 
-def beam_radius(budget: LinkBudget, range_m: float) -> float:
+def beam_radius(budget: LinkBudget, range_m: float | np.ndarray) -> float | np.ndarray:
     """Far-field 1/e^2 beam radius at the receiver plane, m."""
-    if range_m <= 0:
+    if np.any(np.asarray(range_m) <= 0):
         raise ValueError(f"range must be > 0, got {range_m}")
     return 0.5 * budget.divergence_full * range_m
 
@@ -157,25 +158,22 @@ def centered_transmittance(budget: LinkBudget, range_m: float) -> float:
     return 1.0 - math.exp(-2.0 * a * a / (w * w))
 
 
-def _equivalent_beam(a: float, w: float) -> tuple[float, float]:
+def _equivalent_beam(a: float, w: float | np.ndarray) -> tuple:
     """Equivalent-beam parameters (A0, w_eq^2) for a hard circular aperture.
 
     A0 is the peak (centred) collected fraction and w_eq the equivalent
     Gaussian width such that the collected fraction at radial displacement
-    r is approximately A0 exp(-2 r^2 / w_eq^2).
+    r is approximately A0 exp(-2 r^2 / w_eq^2); w_eq^2 is inf where the
+    aperture is so much wider than the beam that exp(-v^2) underflows.
     """
     v = math.sqrt(math.pi / 2.0) * a / w
-    erf_v = float(erf(v))
-    a0 = erf_v * erf_v
-    denom = 2.0 * v * math.exp(-v * v)
-    if denom == 0.0:
-        # Aperture far wider than the beam: any physical jitter keeps the
-        # spot inside, so the equivalent width is effectively unbounded.
-        return a0, math.inf
-    return a0, w * w * math.sqrt(math.pi) * erf_v / denom
+    erf_v = erf(v)
+    denom = 2.0 * v * np.exp(-v * v)
+    return erf_v * erf_v, w * w * math.sqrt(math.pi) * erf_v / denom
 
 
-def pointing_transmittance_expected(budget: LinkBudget, range_m: float) -> float:
+def pointing_transmittance_expected(budget: LinkBudget, range_m: float | np.ndarray
+                                    ) -> float | np.ndarray:
     """Expected aperture transmittance under Rayleigh pointing jitter.
 
     The per-axis Gaussian jitter of ``pointing_sigma`` rad displaces the
@@ -186,16 +184,15 @@ def pointing_transmittance_expected(budget: LinkBudget, range_m: float) -> float
 
         <eta_p> = A0 * gamma / (gamma + 1),  gamma = w_eq^2 / (4 sigma_d^2).
 
-    With zero jitter this returns A0 exactly.
+    With zero jitter (gamma = inf) this returns A0 exactly.  Degenerate
+    inputs give 0 or nan here, which :func:`system_loss` rejects.
     """
-    a = 0.5 * budget.rx_aperture
-    w = beam_radius(budget, range_m)
-    a0, w_eq_sq = _equivalent_beam(a, w)
-    sigma_d = budget.pointing_sigma * range_m
-    if sigma_d == 0.0 or math.isinf(w_eq_sq):
-        return a0
-    gamma = w_eq_sq / (4.0 * sigma_d * sigma_d)
-    return a0 * gamma / (gamma + 1.0)
+    with np.errstate(all="ignore"):
+        w = beam_radius(budget, range_m)
+        a0, w_eq_sq = _equivalent_beam(0.5 * budget.rx_aperture, w)
+        sigma_d = budget.pointing_sigma * range_m
+        gamma = w_eq_sq / (4.0 * sigma_d * sigma_d)
+        return np.where(np.isinf(gamma), a0, a0 * gamma / (gamma + 1.0))[()]
 
 
 def pointing_transmittance_mc(budget: LinkBudget, range_m: float,
@@ -206,9 +203,8 @@ def pointing_transmittance_mc(budget: LinkBudget, range_m: float,
     collected fraction directly.  Kept out of the main computation path;
     :func:`pointing_transmittance_expected` is the production route.
     """
-    a = 0.5 * budget.rx_aperture
     w = beam_radius(budget, range_m)
-    a0, w_eq_sq = _equivalent_beam(a, w)
+    a0, w_eq_sq = _equivalent_beam(0.5 * budget.rx_aperture, w)
     sigma_d = budget.pointing_sigma * range_m
     if sigma_d == 0.0:
         return a0
@@ -217,14 +213,16 @@ def pointing_transmittance_mc(budget: LinkBudget, range_m: float,
     return float(a0 * np.mean(np.exp(-2.0 * r * r / w_eq_sq)))
 
 
-def system_loss(budget: LinkBudget, range_m: float) -> SystemLoss:
-    """Total system transmittance and its dB value at one range.
+def system_loss(budget: LinkBudget, range_m: float | np.ndarray) -> SystemLoss:
+    """Total system transmittance and its dB value at a range or ranges.
 
     eta_sys = <eta_pointing> * eta_atm * eta_tx * eta_rx * eta_det
     """
     eta = (pointing_transmittance_expected(budget, range_m)
            * budget.eta_atm * budget.eta_tx * budget.eta_rx * budget.eta_det)
-    return SystemLoss(eta, -10.0 * math.log10(eta))
+    if not np.all(eta > 0.0):
+        raise ValueError("system transmittance underflows to 0 or is undefined")
+    return SystemLoss(eta, -10.0 * np.log10(eta))
 
 
 def background_counts(env: NoiseEnvironment, budget: LinkBudget) -> float:
@@ -248,15 +246,9 @@ def link_timeseries(pass_geometry: PassGeometry, budget: LinkBudget,
                     env: NoiseEnvironment) -> list[LinkSample]:
     """Per-sample channel records (t, eta_sys, background per gate).
 
-    Output order matches the pass sample order; background counts do not
-    depend on geometry and are computed once.
+    Output order matches the pass sample order; the channel is evaluated
+    once over the range array, and background counts once.
     """
-    n_b = background_counts(env, budget)
-    records = []
-    for i in range(len(pass_geometry)):
-        try:
-            eta = system_loss(budget, float(pass_geometry.range_m[i])).transmittance
-        except (ValueError, ArithmeticError) as exc:
-            raise type(exc)(f"link sample {i}: {exc}") from exc
-        records.append(LinkSample(float(pass_geometry.t_s[i]), eta, n_b))
-    return records
+    eta = system_loss(budget, pass_geometry.range_m).transmittance
+    n_b = [background_counts(env, budget)] * len(eta)
+    return list(map(LinkSample, pass_geometry.t_s.tolist(), eta.tolist(), n_b))

@@ -11,13 +11,16 @@ fidelity
 
 ranging from 1/4 (background only) to 1 (noise-free).  Turbulence
 fading is not folded in: the scintillation index of the short
-stratospheric paths involved stays far below unity.
+stratospheric paths involved stays far below unity.  A radiance sweep
+is one :func:`dual_link_fidelity` call over an array of radiances.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from typing import Sequence
+
+import numpy as np
 
 from .channel import LinkBudget, NoiseEnvironment, background_counts, system_loss
 
@@ -55,7 +58,7 @@ class DualDownlink:
         if self.pair_rate <= 0:
             raise ValueError(f"pair_rate must be > 0, got {self.pair_rate}")
 
-    def with_radiance(self, spectral_radiance: float) -> "DualDownlink":
+    def with_radiance(self, spectral_radiance: float | np.ndarray) -> "DualDownlink":
         """Both receivers see the same background radiance."""
         return replace(
             self,
@@ -68,27 +71,24 @@ class DualDownlink:
 
 @dataclass(frozen=True)
 class FidelityResult:
-    """Post-selected Werner fidelity and per-arm signal fractions."""
+    """Werner fidelity and per-arm signal fractions (arrays over radiances)."""
 
-    fidelity: float
-    q_a: float
-    q_b: float
+    fidelity: float | np.ndarray
+    q_a: float | np.ndarray
+    q_b: float | np.ndarray
     coincidence_rate: float
 
 
 def signal_fraction(budget: LinkBudget, range_m: float, env: NoiseEnvironment,
-                    pair_mean: float) -> float:
+                    pair_mean: float) -> float | np.ndarray:
     """Probability that a click at this receiver is signal-borne.
 
     q = p_s / (p_s + p_b) with p_s = pair_mean * eta_sys and p_b the
     background/dark counts per gate; q = 0 when both vanish.
     """
     p_s = pair_mean * system_loss(budget, range_m).transmittance
-    p_b = background_counts(env, budget)
-    total = p_s + p_b
-    if total == 0.0:
-        return 0.0
-    return p_s / total
+    total = p_s + background_counts(env, budget)
+    return np.divide(p_s, total, out=np.zeros(np.shape(total)), where=total != 0)[()]
 
 
 def dual_link_fidelity(link: DualDownlink) -> FidelityResult:
@@ -115,9 +115,12 @@ def fidelity_sweep(link: DualDownlink,
     The grid must be strictly increasing and non-negative; the fidelity
     column of the output is monotone non-increasing.
     """
-    grid = list(radiance_grid)
-    if any(h < 0 for h in grid):
+    grid = np.array(radiance_grid, dtype=float)
+    if np.any(grid < 0):
         raise ValueError("radiance grid must be non-negative")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
+    if np.any(np.diff(grid) <= 0):
         raise ValueError("radiance grid must be strictly increasing")
-    return [(h, dual_link_fidelity(link.with_radiance(h))) for h in grid]
+    res = dual_link_fidelity(link.with_radiance(grid))
+    results = map(FidelityResult, res.fidelity.tolist(), res.q_a.tolist(),
+                  res.q_b.tolist(), [res.coincidence_rate] * len(grid))
+    return list(zip(grid.tolist(), results))

@@ -195,7 +195,7 @@ class AcquisitionWindow:
     def __init__(self, link: Sequence[LinkSample], window_half: float) -> None:
         if window_half <= 0:
             raise ValueError(f"window_half must be > 0, got {window_half}")
-        t = np.array([s.t_s for s in link])
+        t, eta, n_b = np.array(link, dtype=float).reshape(-1, 3).T
         if len(t) < 2:
             raise ValueError("link must contain at least two samples")
         steps = np.diff(t)
@@ -207,9 +207,8 @@ class AcquisitionWindow:
                 f"window_half {window_half} s exceeds the link support "
                 f"[{t[0]}, {t[-1]}] s")
         keep = np.abs(t) <= window_half + 1e-9
-        self.eta = np.array([s.eta_sys for s in link])[keep]
-        n_b = np.array([s.background_per_gate for s in link])[keep]
-        self.p_noise = 1.0 - np.exp(-n_b)
+        self.eta = eta[keep]
+        self.p_noise = 1.0 - np.exp(-n_b[keep])
         self.dt = dt
         self._sums: dict[tuple[float, float], tuple[float, float]] = {}
 

@@ -3,7 +3,8 @@
 Covers both an orbiting transmitter seen from a quasi-static station
 (LEO satellite over a ground station or HAPS) and short quasi-static
 links (HAPS to LAPS).  Earth rotation during a ~10 minute pass changes
-the range by well under 1% and is neglected.
+the range by well under 1% and is neglected.  A pass is a set of arrays,
+of at most ``MAX_PASS_SAMPLES`` samples, which the channel takes whole.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .constants import EARTH_RADIUS, GM_EARTH
+
+MAX_PASS_SAMPLES = 10**6
 
 
 class PlatformKind(Enum):
@@ -162,19 +165,21 @@ def _slew_from_los(t_s: np.ndarray, los_unit: np.ndarray) -> np.ndarray:
     Central differences on the interior grid, one-sided at the endpoints.
     """
     n = len(t_s)
-    slew = np.zeros(n)
     if n == 1:
-        return slew
+        return np.zeros(1)
+    lo = np.maximum(np.arange(n) - 1, 0)
+    hi = np.minimum(np.arange(n) + 1, n - 1)
+    # Row-wise dot products as (n,1,3) @ (n,3,1): the same sums as np.dot.
+    dot = (los_unit[lo, None, :] @ los_unit[hi, :, None])[:, 0, 0]
+    return np.arccos(np.clip(dot, -1.0, 1.0)) / (t_s[hi] - t_s[lo])
 
-    def angle_between(i: int, j: int) -> float:
-        dot = float(np.dot(los_unit[i], los_unit[j]))
-        return math.acos(min(1.0, max(-1.0, dot)))
 
-    for i in range(n):
-        lo = max(0, i - 1)
-        hi = min(n - 1, i + 1)
-        slew[i] = angle_between(lo, hi) / float(t_s[hi] - t_s[lo])
-    return slew
+def _half_count(half_span_s: float, sample_interval_s: float) -> int:
+    """Samples n on each side of t = 0; a pass holds 2 n + 1 of them."""
+    half = half_span_s / sample_interval_s + 1e-12
+    if not half < MAX_PASS_SAMPLES // 2:
+        raise ValueError(f"pass would hold more than {MAX_PASS_SAMPLES} samples")
+    return int(math.floor(half))
 
 
 def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
@@ -197,9 +202,10 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
     Raises
     ------
     ValueError
-        If the orbiter/station kinds or altitudes are inconsistent, or the
+        If the orbiter/station kinds or altitudes are inconsistent, the
         requested maximum elevation is not reachable (outside
-        ``[horizon_elevation_rad, pi/2]``).
+        ``[horizon_elevation_rad, pi/2]``), the pass is too long, or the
+        altitudes are too close for a positive floating-point range.
     """
     if orbiter.kind is not PlatformKind.LEO_ORBITER:
         raise ValueError("orbiter must be a LEO_ORBITER platform")
@@ -226,11 +232,14 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
     cos_ratio = min(1.0, math.cos(gamma_h) / math.cos(beta))
     t_end = math.acos(cos_ratio) / omega
 
-    n_half = int(math.floor(t_end / sample_interval_s + 1e-12))
+    n_half = _half_count(t_end, sample_interval_s)
     t = np.arange(-n_half, n_half + 1, dtype=float) * sample_interval_s
 
     cos_gamma = math.cos(beta) * np.cos(omega * t)
-    rng = np.sqrt(r_orb**2 + r_sta**2 - 2.0 * r_orb * r_sta * cos_gamma)
+    rng_sq = r_orb**2 + r_sta**2 - 2.0 * r_orb * r_sta * cos_gamma
+    if not np.all(rng_sq > 0):
+        raise ValueError("ranges must be positive")
+    rng = np.sqrt(rng_sq)
     sin_eps = (r_orb * cos_gamma - r_sta) / rng
     elevation = np.arcsin(np.clip(sin_eps, -1.0, 1.0))
 
@@ -269,7 +278,7 @@ def static_pass(high: PlatformSpec, low: PlatformSpec, zenith_rad: float,
         raise ValueError(f"duration must be > 0, got {duration_s}")
 
     rng = short_range_path(zenith_rad, high.altitude_m, low.altitude_m)
-    n_half = max(1, int(math.floor(duration_s / 2.0 / sample_interval_s + 1e-12)))
+    n_half = max(1, _half_count(duration_s / 2.0, sample_interval_s))
     t = np.arange(-n_half, n_half + 1, dtype=float) * sample_interval_s
     elevation = np.full_like(t, math.pi / 2 - zenith_rad)
     los = np.array([math.sin(zenith_rad), 0.0, math.cos(zenith_rad)])

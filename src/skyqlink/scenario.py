@@ -56,6 +56,10 @@ def _intensity(v: float) -> str | None:
     return None if v >= 1e-6 else "must be >= 1e-06"
 
 
+# Grid sizes: a sweep needs two points, and 1e5 bounds its memory and time.
+_count = _at_most(1e5, lambda v: None if v >= 2 else "need >= 2")
+
+
 def _angle_deg(v: float) -> str | None:
     return None if 0.0 <= v <= 90.0 else "must be in [0, 90] degrees"
 
@@ -161,7 +165,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     "fidelity": {
         "radiance_min_w_m2_nm_sr": _Key(1e-7, "float", _positive),
         "radiance_max_w_m2_nm_sr": _Key(1e-1, "float", _positive),
-        "radiance_points": _Key(25, "int", lambda v: None if v >= 2 else "need >= 2"),
+        "radiance_points": _Key(25, "int", _count),
     },
     "turbulence": {
         "ground_cn2": _Key(1.7e-14, "float", _at_most(1e-10, _positive)),
@@ -172,7 +176,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "h_cap_km": _Key(30.0, "float", _positive),
         "zenith_min_deg": _Key(0.0, "float", _angle_deg),
         "zenith_max_deg": _Key(80.0, "float", _angle_deg),
-        "zenith_points": _Key(33, "int", lambda v: None if v >= 2 else "need >= 2"),
+        "zenith_points": _Key(33, "int", _count),
         "wavelengths_nm": _Key((810.0, 1550.0), "float_list",
                                _float_list_increasing),
     },
@@ -286,6 +290,25 @@ def _resolve(parsed: dict[str, dict[str, Any]], source: str) -> Scenario:
     return Scenario(values=values, defaulted=frozenset(defaulted), source=source)
 
 
+def _set_key(parsed: dict[str, dict[str, Any]], section: str, key: str,
+             raw_value: str, line: int, column: int) -> None:
+    """Parse and check one ``section.key`` value into ``parsed``."""
+    if key not in SCHEMA.get(section, ()):
+        raise ScenarioError(f"unknown key '{key}' in section [{section}]",
+                            line, column)
+    keys = parsed.setdefault(section, {})
+    if key in keys:
+        raise ScenarioError(f"duplicate key '{key}' in section [{section}]",
+                            line, column)
+    spec = SCHEMA[section][key]
+    value = _parse_value(spec.kind, raw_value, line, column, f"{section}.{key}")
+    problem = spec.check(value) if spec.check is not None else None
+    if problem:
+        raise ScenarioError(f"{section}.{key} {problem}, got {raw_value}",
+                            line, column)
+    keys[key] = value
+
+
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with diagnostics."""
     parsed: dict[str, dict[str, Any]] = {}
@@ -309,21 +332,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         if section is None:
             raise ScenarioError("key outside any [section]", lineno, column)
         key, raw_value = (part.strip() for part in stripped.split("=", 1))
-        if key not in SCHEMA[section]:
-            raise ScenarioError(f"unknown key '{key}' in section [{section}]",
-                                lineno, column)
-        if key in parsed[section]:
-            raise ScenarioError(f"duplicate key '{key}' in section [{section}]",
-                                lineno, column)
-        spec = SCHEMA[section][key]
-        value = _parse_value(spec.kind, raw_value, lineno, column,
-                             f"{section}.{key}")
-        if spec.check is not None:
-            problem = spec.check(value)
-            if problem:
-                raise ScenarioError(f"{section}.{key} {problem}, got {raw_value}",
-                                    lineno, column)
-        parsed[section][key] = value
+        _set_key(parsed, section, key, raw_value, lineno, column)
     return _resolve(parsed, source)
 
 
@@ -343,7 +352,8 @@ def scenario_from_config_lines(lines: Iterable[str]) -> Scenario:
     """Rebuild a scenario from report-metadata ``section.key = value`` lines.
 
     Accepts the exact output of :meth:`Scenario.config_lines`, with or
-    without the leading ``# config`` prefix emitted in CSV metadata.
+    without the leading ``# config`` prefix emitted in CSV metadata.  Each
+    value passes the same parse and checks as in a scenario file.
     """
     parsed: dict[str, dict[str, Any]] = {}
     for lineno, raw in enumerate(lines, start=1):
@@ -365,12 +375,7 @@ def scenario_from_config_lines(lines: Iterable[str]) -> Scenario:
         dotted, raw_value = (part.strip() for part in line.split("=", 1))
         if "." not in dotted:
             raise ScenarioError(f"expected section.key, got {dotted!r}", lineno)
-        section, key = dotted.split(".", 1)
-        if section not in SCHEMA or key not in SCHEMA[section]:
-            raise ScenarioError(f"unknown parameter {dotted}", lineno)
-        spec = SCHEMA[section][key]
-        parsed.setdefault(section, {})[key] = _parse_value(
-            spec.kind, raw_value, lineno, 1, dotted)
+        _set_key(parsed, *dotted.split(".", 1), raw_value, lineno, 1)
     return _resolve(parsed, source="<metadata>")
 
 

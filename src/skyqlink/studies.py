@@ -32,6 +32,7 @@ from .geometry import (
     PlatformKind,
     PlatformSpec,
     propagate_pass,
+    short_range_path,
     static_pass,
 )
 from .scenario import CM, KM, MHZ, NM, NS, URAD, Scenario, deg2rad
@@ -172,23 +173,16 @@ def _report(scenario: Scenario, study: str, columns: tuple[str, ...],
 
 def run_pass(scenario: Scenario) -> StudyReport:
     """Pass geometry and per-sample system loss for the first PE level."""
-    label, sigma = pointing_levels(scenario)[0]
-    pass_geometry = build_pass(scenario)
-    budget = build_budget(scenario, sigma)
+    _, sigma = pointing_levels(scenario)[0]
+    geo = build_pass(scenario)
+    try:
+        loss_db = system_loss(build_budget(scenario, sigma), geo.range_m).db
+    except (ValueError, ArithmeticError) as exc:
+        raise StudyNumericalError(f"pass study failed: {exc}") from exc
     columns = ("t_s", "elevation_deg", "range_km", "slew_rad_s", "eta_sys_db")
-    rows = []
-    for i in range(len(pass_geometry)):
-        try:
-            loss = system_loss(budget, float(pass_geometry.range_m[i]))
-        except (ValueError, ArithmeticError) as exc:
-            raise StudyNumericalError(
-                f"pass study failed at sample t={pass_geometry.t_s[i]} s: {exc}"
-            ) from exc
-        rows.append((float(pass_geometry.t_s[i]),
-                     math.degrees(float(pass_geometry.elevation_rad[i])),
-                     float(pass_geometry.range_m[i]) / KM,
-                     float(pass_geometry.slew_rad_s[i]),
-                     loss.db))
+    rows = list(zip(geo.t_s.tolist(), np.degrees(geo.elevation_rad).tolist(),
+                    (geo.range_m / KM).tolist(), geo.slew_rad_s.tolist(),
+                    loss_db.tolist()))
     return _report(scenario, "pass", columns, rows)
 
 
@@ -234,10 +228,10 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
     ent = scenario.values["entanglement"]
     fid = scenario.values["fidelity"]
     if sec_pass["geometry"] != "static":
-        raise StudyNumericalError(
-            "fidelity study requires [pass] geometry = static")
-    range_m = (sec_pass["tx_altitude_km"] - sec_pass["rx_altitude_km"]) * KM \
-        / math.cos(deg2rad(sec_pass["static_zenith_deg"]))
+        raise StudyNumericalError("fidelity study requires [pass] geometry = static")
+    range_m = short_range_path(deg2rad(sec_pass["static_zenith_deg"]),
+                               sec_pass["tx_altitude_km"] * KM,
+                               sec_pass["rx_altitude_km"] * KM)
     env = build_noise(scenario)
     grid = list(np.logspace(math.log10(fid["radiance_min_w_m2_nm_sr"]),
                             math.log10(fid["radiance_max_w_m2_nm_sr"]),
@@ -259,9 +253,8 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
                 raise StudyNumericalError(
                     f"fidelity study failed at pe={label} "
                     f"divergence={divergence}: {exc}") from exc
-            for h_b, res in swept:
-                rows.append((h_b, label, divergence, res.fidelity,
-                             res.q_a, res.q_b))
+            rows += [(h_b, label, divergence, res.fidelity, res.q_a, res.q_b)
+                     for h_b, res in swept]
     return _report(scenario, "fidelity", columns, rows)
 
 
@@ -279,25 +272,24 @@ def run_turbulence(scenario: Scenario) -> StudyReport:
     columns = ("zenith_deg", "wavelength_nm", "greenwood_hz", "fried_m", "si")
     rows = []
     warns: list[str] = []
-    si_warned = False
     for zen_deg in zeniths:
         for wl_nm in turb["wavelengths_nm"]:
             path = SlantPath(deg2rad(float(zen_deg)), h_low, h_high, wl_nm * NM)
             try:
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    f_g = greenwood_frequency(profile, path, h_cap_m=h_cap)
-                    r0 = fried_r0(profile, path, h_cap_m=h_cap)
+                f_g = greenwood_frequency(profile, path, h_cap_m=h_cap)
+                r0 = fried_r0(profile, path, h_cap_m=h_cap)
+                with warnings.catch_warnings():
+                    # Reported once, below, as a line of the report.
+                    warnings.filterwarnings("ignore", "scintillation index")
                     si = scintillation_index(profile, path, h_cap_m=h_cap)
             except (ValueError, ArithmeticError) as exc:
                 raise StudyNumericalError(
                     f"turbulence study failed at zenith_deg={zen_deg:.6g} "
                     f"wavelength_nm={wl_nm:.6g}: {exc}") from exc
-            if caught and not si_warned:
+            if si >= 1.0 and not warns:
                 warns.append(
                     f"scintillation index leaves the weak-fluctuation regime "
                     f"from zenith_deg={zen_deg:.6g} wavelength_nm={wl_nm:.6g}")
-                si_warned = True
             rows.append((float(zen_deg), float(wl_nm), f_g, r0, si))
     return _report(scenario, "turbulence", columns, rows, warns)
 

@@ -238,6 +238,45 @@ class TestLinkTimeseries:
         assert got_db == pytest.approx(-10.0 * math.log10(eta), abs=0.01)
 
 
+class TestRangeArrays:
+    RANGES = np.array([20e3, 515e3, 1.2e6, 2.5e6])
+
+    def test_array_matches_per_range_calls(self):
+        budget = make_budget(pointing_sigma=3.3e-6)
+        loss = system_loss(budget, self.RANGES)
+        assert loss.transmittance.shape == self.RANGES.shape
+        for i, rng in enumerate(self.RANGES.tolist()):
+            one = system_loss(budget, rng)
+            assert np.ndim(one.transmittance) == 0
+            assert one.transmittance == loss.transmittance[i]
+            assert one.db == loss.db[i]
+
+    def test_zero_jitter_array_returns_peak(self):
+        budget = make_budget(pointing_sigma=0.0)
+        eta = pointing_transmittance_expected(budget, self.RANGES)
+        a = 0.5 * budget.rx_aperture
+        v = math.sqrt(math.pi / 2.0) * a / beam_radius(budget, self.RANGES)
+        np.testing.assert_allclose(eta, [math.erf(x) ** 2 for x in v], rtol=1e-12)
+
+    def test_link_timeseries_matches_per_sample_loss(self):
+        p = propagate_pass(PlatformSpec(535e3, PlatformKind.LEO_ORBITER),
+                           PlatformSpec(20e3), sample_interval_s=7.0)
+        budget = make_budget(pointing_sigma=10e-6)
+        records = link_timeseries(p, budget, NoiseEnvironment())
+        assert [r.t_s for r in records] == p.t_s.tolist()
+        assert [r.eta_sys for r in records] == [
+            system_loss(budget, rng).transmittance for rng in p.range_m.tolist()]
+
+    def test_vanishing_transmittance_rejected(self):
+        # 4 sigma_d^2 overflows, so gamma and the transmittance are 0.
+        with pytest.raises(ValueError, match="underflows"):
+            system_loss(make_budget(pointing_sigma=1e200), self.RANGES)
+
+    def test_nonpositive_range_in_array_rejected(self):
+        with pytest.raises(ValueError):
+            beam_radius(make_budget(), np.array([1e3, 0.0]))
+
+
 class TestPointingErrorLevel:
     def test_named_levels(self):
         assert PointingErrorLevel.named("weak").sigma_rad == pytest.approx(3.3e-6)

@@ -138,6 +138,14 @@ class TestFidelitySweep:
         wide = [r.fidelity for _, r in fidelity_sweep(make_link(divergence=1e-3), grid)]
         assert all(n > w for n, w in zip(narrow, wide))
 
+    def test_matches_per_point_fidelity(self):
+        link = make_link(sigma=10e-6)
+        grid = list(np.logspace(-7, -1, 7))
+        for h, res in fidelity_sweep(link, grid):
+            one = dual_link_fidelity(link.with_radiance(h))
+            assert (res.fidelity, res.q_a, res.q_b) == (one.fidelity, one.q_a, one.q_b)
+            assert res.coincidence_rate == one.coincidence_rate
+
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             fidelity_sweep(make_link(), [1e-3, 1e-3])

@@ -1,6 +1,7 @@
 """Pass geometry: slant range, pass propagation, slew rates."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,3 +207,24 @@ class TestPassGeometryContainer:
         assert len(samples) == len(p)
         assert samples[0].zenith_rad == pytest.approx(math.radians(40.0))
         assert samples[0].range_m == pytest.approx(24.8e3, rel=2e-3)
+
+
+class TestPassLimits:
+    def test_degenerate_pass_raises_before_dividing(self):
+        # Altitudes 1e-9 m apart cancel to a zero range in floating point.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="ranges must be positive"):
+                propagate_pass(PlatformSpec(1e-9, PlatformKind.LEO_ORBITER), GROUND)
+
+    def test_orbital_sample_cap(self):
+        # An interval just short enough to put the pass over the cap.
+        n_half = (len(propagate_pass(LEO, HAPS)) - 1) // 2
+        interval = n_half / 500_000.5
+        with pytest.raises(ValueError, match="more than 1000000 samples"):
+            propagate_pass(LEO, HAPS, sample_interval_s=interval)
+
+    def test_static_sample_cap(self):
+        with pytest.raises(ValueError, match="more than 1000000 samples"):
+            static_pass(HAPS, LAPS, math.radians(40.0),
+                        duration_s=1e6, sample_interval_s=1.0)

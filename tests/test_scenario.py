@@ -100,6 +100,28 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match="not a finite number"):
             scenario_from_config_lines(["link.wavelength_nm = inf"])
 
+    @pytest.mark.parametrize("line", [
+        "turbulence.ground_cn2 = 1e300",
+        "optimizer.mu1_min = 1e-200",
+        "pass.tx_altitude_km = 1e300",
+    ])
+    def test_config_lines_run_the_per_key_checks(self, line):
+        with pytest.raises(ScenarioError, match="must be"):
+            scenario_from_config_lines([line])
+
+    def test_config_lines_reject_duplicates(self):
+        with pytest.raises(ScenarioError, match="duplicate"):
+            scenario_from_config_lines(["link.eta_tx = 0.5", "link.eta_tx = 0.6"])
+
+    @pytest.mark.parametrize("text", [
+        "[fidelity]\nradiance_points = 100001\n",
+        "[turbulence]\nzenith_points = 100001\n",
+    ])
+    def test_grid_sizes_capped(self, text):
+        with pytest.raises(ScenarioError,
+                           match=r"must be <= 100000, got 100001 \(line 2, column 1\)"):
+            parse_scenario_text(text)
+
 
 class TestDigestAndRoundTrip:
     def test_digest_stable_across_formatting(self):

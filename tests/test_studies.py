@@ -3,9 +3,11 @@
 import dataclasses
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from skyqlink import studies
 from skyqlink.scenario import parse_scenario, parse_scenario_text, scenario_from_config_lines
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
@@ -85,6 +87,17 @@ class TestRunTurbulence:
     def test_strong_scintillation_warned(self):
         report = run_turbulence(FIG4)
         assert any("weak-fluctuation" in w for w in report.warnings)
+
+    def test_unrelated_warning_is_not_a_scintillation_warning(self, monkeypatch):
+        def noisy_fried_r0(*args, **kwargs):
+            warnings.warn("unrelated", UserWarning)
+            return fried_r0(*args, **kwargs)
+
+        fried_r0 = studies.fried_r0
+        monkeypatch.setattr(studies, "fried_r0", noisy_fried_r0)
+        with pytest.warns(UserWarning, match="unrelated"):
+            report = run_turbulence(parse_scenario_text(""))
+        assert not any("scintillation" in w for w in report.warnings)
 
     def test_non_finite_cell_is_a_numerical_error(self):
         # Past the parser's Cn2 cap, the scintillation index overflows.
