@@ -8,12 +8,14 @@ import math
 
 from skyqlink.channel import (
     LinkBudget,
-    POINTING_SIGMAS,
     beam_radius,
     centered_transmittance,
     pointing_transmittance_expected,
     system_loss,
 )
+from skyqlink.scenario import parse_scenario
+from skyqlink.scenarios import bundled_path
+from skyqlink.studies import pointing_levels
 
 RANGE_M = 515e3  # culmination range, 535 km orbit over a 20 km platform
 
@@ -29,7 +31,7 @@ print(f"centred geometric collection: "
       f"{-10 * math.log10(centered_transmittance(budget0, RANGE_M)):.1f} dB\n")
 
 print("PE level    sigma(urad)   pointing+geom(dB)   total eta_sys(dB)")
-for label, sigma in POINTING_SIGMAS.items():
+for label, sigma in pointing_levels(parse_scenario(bundled_path("fig2_leo_haps"))):
     budget = LinkBudget(**base, pointing_sigma=sigma)
     pointing_db = -10 * math.log10(pointing_transmittance_expected(budget, RANGE_M))
     total = system_loss(budget, RANGE_M)

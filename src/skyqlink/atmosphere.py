@@ -6,16 +6,18 @@ slew-rate pseudo-wind term, which dominates the apparent wind during a
 LEO pass.  From those the module computes the three slant-path moments
 that matter for free-space quantum links: the Fried coherence length,
 the Greenwood frequency and the (plane-wave, weak-fluctuation) Rytov
-scintillation index.
+scintillation index.  Each is one height integral of the profile times
+closed-form zenith and wavelength factors, so a path's zenith angles and
+wavelengths may be arrays: a whole sweep is one integral per metric.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.integrate import quad
 
 H_INTEGRATION_CAP = 30e3
@@ -84,34 +86,36 @@ class SlantPath:
 
     ``h_low`` is the receiver altitude of a downlink; integration runs
     from ``h_low`` up to ``h_high`` (capped separately for the moments,
-    Cn^2 being negligible above ~30 km).
+    Cn^2 being negligible above ~30 km).  ``zenith_rad`` and
+    ``wavelength_m`` are floats or arrays that broadcast together; the
+    metrics return that broadcast shape.
     """
 
-    zenith_rad: float
+    zenith_rad: float | np.ndarray
     h_low_m: float
     h_high_m: float
-    wavelength_m: float
+    wavelength_m: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.zenith_rad < math.pi / 2:
+        if not np.all((0.0 <= self.zenith_rad) & (self.zenith_rad < math.pi / 2)):
             raise ValueError(f"zenith must be in [0, pi/2), got {self.zenith_rad}")
         if self.h_low_m < 0 or self.h_high_m <= self.h_low_m:
             raise ValueError(
                 f"need h_high > h_low >= 0, got {self.h_high_m}, {self.h_low_m}")
-        if self.wavelength_m <= 0:
+        if not np.all(self.wavelength_m > 0):
             raise ValueError(f"wavelength must be > 0, got {self.wavelength_m}")
 
 
-@functools.lru_cache(maxsize=64)
 def _moment(profile: TurbulenceProfile, weight: str, h_low: float,
             h_high: float) -> float:
     """Height integral of Cn^2(h) times the weight named ``"one"``,
     ``"wind"`` (V(h)^(5/3)) or ``"path"`` ((h - h_low)^(5/6)).
 
-    Zenith and wavelength enter the moments only as closed-form factors,
-    so a sweep over them reuses three integrals per profile and altitude
-    range; the cache holds them.
+    Raises ``ValueError`` on an empty or reversed height range, as when
+    the receiver sits at or above the integration cap.
     """
+    if not h_low < h_high:
+        raise ValueError(f"empty height range from {h_low:.6g} m to {h_high:.6g} m")
     if weight == "wind":
         def integrand(h):
             return profile.cn2(h) * profile.wind(h) ** (5.0 / 3.0)
@@ -127,7 +131,7 @@ def _moment(profile: TurbulenceProfile, weight: str, h_low: float,
 
 
 def fried_r0(profile: TurbulenceProfile, path: SlantPath,
-             h_cap_m: float = H_INTEGRATION_CAP) -> float:
+             h_cap_m: float = H_INTEGRATION_CAP) -> float | np.ndarray:
     """Fried coherence length r0 along the slant path, m.
 
         r0 = [0.423 k^2 sec(zeta) integral Cn^2(h) dh]^(-3/5),  k = 2 pi / lambda
@@ -138,12 +142,12 @@ def fried_r0(profile: TurbulenceProfile, path: SlantPath,
     k = 2.0 * math.pi / path.wavelength_m
     h_top = min(path.h_high_m, h_cap_m)
     mu0 = _moment(profile, "one", path.h_low_m, h_top)
-    sec_z = 1.0 / math.cos(path.zenith_rad)
+    sec_z = 1.0 / np.cos(path.zenith_rad)
     return (0.423 * k * k * sec_z * mu0) ** (-3.0 / 5.0)
 
 
 def greenwood_frequency(profile: TurbulenceProfile, path: SlantPath,
-                        h_cap_m: float = H_INTEGRATION_CAP) -> float:
+                        h_cap_m: float = H_INTEGRATION_CAP) -> float | np.ndarray:
     """Greenwood frequency along the slant path, Hz.
 
         f_G = 2.31 lambda^(-6/5) [sec(zeta) integral Cn^2(h) V(h)^(5/3) dh]^(3/5)
@@ -154,27 +158,27 @@ def greenwood_frequency(profile: TurbulenceProfile, path: SlantPath,
     """
     h_top = min(path.h_high_m, h_cap_m)
     mu = _moment(profile, "wind", path.h_low_m, h_top)
-    sec_z = 1.0 / math.cos(path.zenith_rad)
+    sec_z = 1.0 / np.cos(path.zenith_rad)
     return 2.31 * path.wavelength_m ** (-6.0 / 5.0) * (sec_z * mu) ** (3.0 / 5.0)
 
 
 def scintillation_index(profile: TurbulenceProfile, path: SlantPath,
-                        h_cap_m: float = H_INTEGRATION_CAP) -> float:
+                        h_cap_m: float = H_INTEGRATION_CAP) -> float | np.ndarray:
     """Plane-wave Rytov variance for a downlink, reported as the SI.
 
         sigma_R^2 = 2.25 k^(7/6) sec^(11/6)(zeta)
                     integral Cn^2(h) (h - h_low)^(5/6) dh
 
-    Valid in the weak-fluctuation regime; a warning is issued when the
+    Valid in the weak-fluctuation regime; one warning is issued when any
     result reaches 1, where the Rytov approximation stops holding.
     """
     k = 2.0 * math.pi / path.wavelength_m
     h_top = min(path.h_high_m, h_cap_m)
     mu = _moment(profile, "path", path.h_low_m, h_top)
-    sec_z = 1.0 / math.cos(path.zenith_rad)
+    sec_z = 1.0 / np.cos(path.zenith_rad)
     si = 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * mu
-    if si >= 1.0:
+    if np.any(si >= 1.0):
         warnings.warn(
-            f"scintillation index {si:.3g} >= 1: weak-fluctuation assumption "
+            f"scintillation index {np.max(si):.3g} >= 1: weak-fluctuation assumption "
             "violated", stacklevel=2)
     return si

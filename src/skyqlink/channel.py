@@ -12,7 +12,7 @@ pass or sweep is one channel evaluation, not one per sample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -20,42 +20,6 @@ from scipy.special import erf
 
 from .constants import LIGHT_SPEED, PLANCK
 from .geometry import PassGeometry
-
-POINTING_SIGMAS = {
-    "weak": 3.3e-6,
-    "moderate": 10e-6,
-    "strong": 20e-6,
-}
-"""Per-axis beam-jitter standard deviations (rad) for the named PE levels.
-
-Only the weak level is anchored to a quoted hardware figure (3.3 urad
-fine-tracking residual); moderate and strong are representative values
-for coarse-only and unstabilised platforms.
-"""
-
-
-@dataclass(frozen=True)
-class PointingErrorLevel:
-    """A named pointing-error severity with its per-axis jitter sigma."""
-
-    label: str
-    sigma_rad: float
-
-    _ALLOWED = ("weak", "moderate", "strong", "custom")
-
-    def __post_init__(self) -> None:
-        if self.label not in self._ALLOWED:
-            raise ValueError(f"pointing level must be one of {self._ALLOWED}")
-        if self.sigma_rad < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma_rad}")
-
-    @classmethod
-    def named(cls, label: str) -> "PointingErrorLevel":
-        return cls(label, POINTING_SIGMAS[label])
-
-    @classmethod
-    def custom(cls, sigma_rad: float) -> "PointingErrorLevel":
-        return cls("custom", sigma_rad)
 
 
 @dataclass(frozen=True)
@@ -100,9 +64,6 @@ class LinkBudget:
             val = getattr(self, name)
             if not 0.0 < val <= 1.0:
                 raise ValueError(f"{name} must be in (0, 1], got {val}")
-
-    def with_pointing(self, level: PointingErrorLevel) -> "LinkBudget":
-        return replace(self, pointing_sigma=level.sigma_rad)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,8 @@ import argparse
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_text
 from .scenarios import BUNDLED, bundled_path
 from .studies import PLOT_RECIPES, STUDIES, StudyNumericalError, run_study
@@ -85,7 +87,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_CONFIG
 
     try:
-        report = run_study(study, scenario, threads=args.threads)
+        # A floating-point fault that no study guards is a numerical failure.
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            report = run_study(study, scenario, threads=args.threads)
     except StudyNumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

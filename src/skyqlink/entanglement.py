@@ -79,6 +79,13 @@ class FidelityResult:
     coincidence_rate: float
 
 
+def _signal_fraction(p_s: float | np.ndarray, env: NoiseEnvironment,
+                     budget: LinkBudget) -> float | np.ndarray:
+    """q = p_s / (p_s + p_b) for signal clicks p_s per gate; 0 when both vanish."""
+    total = p_s + background_counts(env, budget)
+    return np.divide(p_s, total, out=np.zeros(np.shape(total)), where=total != 0)[()]
+
+
 def signal_fraction(budget: LinkBudget, range_m: float, env: NoiseEnvironment,
                     pair_mean: float) -> float | np.ndarray:
     """Probability that a click at this receiver is signal-borne.
@@ -86,20 +93,18 @@ def signal_fraction(budget: LinkBudget, range_m: float, env: NoiseEnvironment,
     q = p_s / (p_s + p_b) with p_s = pair_mean * eta_sys and p_b the
     background/dark counts per gate; q = 0 when both vanish.
     """
-    p_s = pair_mean * system_loss(budget, range_m).transmittance
-    total = p_s + background_counts(env, budget)
-    return np.divide(p_s, total, out=np.zeros(np.shape(total)), where=total != 0)[()]
+    return _signal_fraction(pair_mean * system_loss(budget, range_m).transmittance,
+                            env, budget)
 
 
 def dual_link_fidelity(link: DualDownlink) -> FidelityResult:
-    """Werner fidelity of the post-selected two-photon state."""
-    q_a = signal_fraction(link.link_a.budget, link.link_a.range_m,
-                          link.link_a.env, link.pair_mean)
-    q_b = signal_fraction(link.link_b.budget, link.link_b.range_m,
-                          link.link_b.env, link.pair_mean)
+    """Werner fidelity of the post-selected two-photon state; each arm's
+    channel is evaluated once, for its signal fraction and the coincidences."""
+    arms = (link.link_a, link.link_b)
+    eta_a, eta_b = (system_loss(arm.budget, arm.range_m).transmittance for arm in arms)
+    q_a, q_b = (_signal_fraction(link.pair_mean * eta, arm.env, arm.budget)
+                for arm, eta in zip(arms, (eta_a, eta_b)))
     w = q_a * q_b
-    eta_a = system_loss(link.link_a.budget, link.link_a.range_m).transmittance
-    eta_b = system_loss(link.link_b.budget, link.link_b.range_m).transmittance
     return FidelityResult(
         fidelity=(1.0 + 3.0 * w) / 4.0,
         q_a=q_a,

@@ -500,6 +500,8 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     if not np.all(np.isfinite(length)):
         raise ArithmeticError("secret-key length is not finite")
     key = np.maximum(0.0, np.minimum(np.floor(length), np.floor(n_x)))
+    if np.any(key >= 2.0**63):
+        raise ArithmeticError("secret-key length exceeds the int64 range")
     scored = np.zeros(n, dtype=np.int64)
     scored[feasible] = key
     bits[valid] = scored

@@ -10,7 +10,7 @@ of at most ``MAX_PASS_SAMPLES`` samples, which the channel takes whole.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -68,11 +68,9 @@ class PassGeometry:
     zenith_rad: np.ndarray
     range_m: np.ndarray
     slew_rad_s: np.ndarray
-    los_unit: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("t_s", "elevation_rad", "zenith_rad", "range_m",
-                     "slew_rad_s", "los_unit"):
+        for name in ("t_s", "elevation_rad", "zenith_rad", "range_m", "slew_rad_s"):
             arr = getattr(self, name)
             arr.flags.writeable = False
         if np.any(np.diff(self.t_s) <= 0):
@@ -249,15 +247,12 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
         [np.cos(omega * t), np.sin(omega * t), np.zeros_like(t)], axis=1)
     los = sat_pos - station_pos
     los_unit = los / np.linalg.norm(los, axis=1, keepdims=True)
-
-    slew = _slew_from_los(t, los_unit)
     return PassGeometry(
         t_s=t,
         elevation_rad=elevation,
         zenith_rad=math.pi / 2 - elevation,
         range_m=rng,
-        slew_rad_s=slew,
-        los_unit=los_unit,
+        slew_rad_s=_slew_from_los(t, los_unit),
     )
 
 
@@ -281,14 +276,12 @@ def static_pass(high: PlatformSpec, low: PlatformSpec, zenith_rad: float,
     n_half = max(1, _half_count(duration_s / 2.0, sample_interval_s))
     t = np.arange(-n_half, n_half + 1, dtype=float) * sample_interval_s
     elevation = np.full_like(t, math.pi / 2 - zenith_rad)
-    los = np.array([math.sin(zenith_rad), 0.0, math.cos(zenith_rad)])
     return PassGeometry(
         t_s=t,
         elevation_rad=elevation,
         zenith_rad=np.full_like(t, zenith_rad),
         range_m=np.full_like(t, rng),
         slew_rad_s=np.zeros_like(t),
-        los_unit=np.tile(los, (len(t), 1)),
     )
 
 

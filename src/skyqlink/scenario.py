@@ -115,6 +115,8 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "tx_aperture_cm": _Key(9.0, "float", _positive),
         "rx_aperture_cm": _Key(35.0, "float", _positive),
         "pointing_levels": _Key(("weak",), "str_list", _level_list),
+        # Only the weak sigma is a quoted hardware figure (a 3.3 urad fine-tracking
+        # residual); moderate and strong stand for coarse-only and unstabilised platforms.
         "weak_sigma_urad": _Key(3.3, "float", _non_negative),
         "moderate_sigma_urad": _Key(10.0, "float", _non_negative),
         "strong_sigma_urad": _Key(20.0, "float", _non_negative),

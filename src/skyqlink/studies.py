@@ -4,7 +4,8 @@ Each ``run_*`` function turns a resolved scenario into a deterministic
 :class:`StudyReport`: fixed column order, rows in sweep order, and
 metadata lines that echo every resolved configuration value (so a report
 header replayed as a scenario reproduces the report byte for byte).
-Every study runs in the calling thread.
+Every study runs in the calling thread, and evaluates each quantity over
+its whole sweep in one array call rather than point by point.
 """
 
 from __future__ import annotations
@@ -259,38 +260,34 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
 
 
 def run_turbulence(scenario: Scenario) -> StudyReport:
-    """Greenwood frequency, Fried length and SI versus zenith angle."""
+    """Greenwood frequency, Fried length and SI on a zenith x wavelength
+    mesh: one array evaluation, and so one height integral, per metric."""
     turb = scenario.values["turbulence"]
     sec_pass = scenario.values["pass"]
     profile = build_turbulence_profile(scenario)
-    h_low = sec_pass["rx_altitude_km"] * KM
-    h_high = sec_pass["tx_altitude_km"] * KM
     h_cap = turb["h_cap_km"] * KM
-    zeniths = np.linspace(turb["zenith_min_deg"], turb["zenith_max_deg"],
-                          turb["zenith_points"])
+    zen_deg, wl_nm = np.meshgrid(
+        np.linspace(turb["zenith_min_deg"], turb["zenith_max_deg"], turb["zenith_points"]),
+        turb["wavelengths_nm"], indexing="ij")
+    path = SlantPath(np.radians(zen_deg), sec_pass["rx_altitude_km"] * KM,
+                     sec_pass["tx_altitude_km"] * KM, wl_nm * NM)
+    try:
+        with np.errstate(all="ignore"), warnings.catch_warnings():
+            # Reported once, below, as a line of the report.
+            warnings.filterwarnings("ignore", "scintillation index")
+            f_g = greenwood_frequency(profile, path, h_cap_m=h_cap)
+            r0 = fried_r0(profile, path, h_cap_m=h_cap)
+            si = scintillation_index(profile, path, h_cap_m=h_cap)
+    except (ValueError, ArithmeticError) as exc:
+        raise StudyNumericalError(
+            f"turbulence study failed for pass.rx_altitude_km = {sec_pass['rx_altitude_km']:.6g}"
+            f" and turbulence.h_cap_km = {turb['h_cap_km']:.6g}: {exc}") from exc
 
     columns = ("zenith_deg", "wavelength_nm", "greenwood_hz", "fried_m", "si")
-    rows = []
-    warns: list[str] = []
-    for zen_deg in zeniths:
-        for wl_nm in turb["wavelengths_nm"]:
-            path = SlantPath(deg2rad(float(zen_deg)), h_low, h_high, wl_nm * NM)
-            try:
-                f_g = greenwood_frequency(profile, path, h_cap_m=h_cap)
-                r0 = fried_r0(profile, path, h_cap_m=h_cap)
-                with warnings.catch_warnings():
-                    # Reported once, below, as a line of the report.
-                    warnings.filterwarnings("ignore", "scintillation index")
-                    si = scintillation_index(profile, path, h_cap_m=h_cap)
-            except (ValueError, ArithmeticError) as exc:
-                raise StudyNumericalError(
-                    f"turbulence study failed at zenith_deg={zen_deg:.6g} "
-                    f"wavelength_nm={wl_nm:.6g}: {exc}") from exc
-            if si >= 1.0 and not warns:
-                warns.append(
-                    f"scintillation index leaves the weak-fluctuation regime "
-                    f"from zenith_deg={zen_deg:.6g} wavelength_nm={wl_nm:.6g}")
-            rows.append((float(zen_deg), float(wl_nm), f_g, r0, si))
+    rows = list(zip(*(a.ravel().tolist() for a in (zen_deg, wl_nm, f_g, r0, si))))
+    warns = [f"scintillation index leaves the weak-fluctuation regime "
+             f"from zenith_deg={rows[i][0]:.6g} wavelength_nm={rows[i][1]:.6g}"
+             for i in np.flatnonzero(si.ravel() >= 1.0)[:1]]
     return _report(scenario, "turbulence", columns, rows, warns)
 
 

@@ -1,6 +1,7 @@
 """Turbulence profiles and slant-path moments."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -195,3 +196,54 @@ class TestQuadratureAgreement:
             refined = simpson_moment(integrand, 0.0, 30e3, 20000)
             assert abs(refined - coarse) / refined < 1e-3
             assert adaptive_value == pytest.approx(to_metric(refined), rel=1e-3)
+
+
+class TestArrayPaths:
+    """Array zeniths and wavelengths: one integral per metric, same values."""
+
+    PROFILE = TurbulenceProfile(rms_upper_wind=85.0, slew_rate=0.0142)
+    ZENITHS = np.radians(np.linspace(0.0, 80.0, 9))[:, None]
+    WAVELENGTHS = np.array([810e-9, 1064e-9, 1550e-9])
+
+    @pytest.mark.parametrize("metric", [fried_r0, greenwood_frequency,
+                                        scintillation_index])
+    def test_mesh_matches_scalar_calls(self, metric):
+        path = SlantPath(self.ZENITHS, 0.0, 535e3, self.WAVELENGTHS)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)
+            mesh = metric(self.PROFILE, path)
+            scalar = [[metric(self.PROFILE, SlantPath(z, 0.0, 535e3, wl))
+                       for wl in self.WAVELENGTHS.tolist()]
+                      for z in self.ZENITHS.ravel().tolist()]
+        assert mesh.shape == (9, 3)
+        np.testing.assert_allclose(mesh, scalar, rtol=1e-14, atol=0.0)
+
+    def test_float_input_gives_float(self):
+        value = fried_r0(self.PROFILE, SlantPath(0.3, 0.0, 535e3, 810e-9))
+        assert isinstance(value, float)
+
+    def test_strong_scintillation_warns_once(self):
+        path = SlantPath(self.ZENITHS, 0.0, 535e3, self.WAVELENGTHS)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            si = scintillation_index(self.PROFILE, path)
+        assert np.count_nonzero(si >= 1.0) > 1
+        assert len(caught) == 1
+        assert f"{si.max():.3g}" in str(caught[0].message)
+
+    def test_any_bad_zenith_rejected(self):
+        with pytest.raises(ValueError, match="zenith"):
+            SlantPath(np.array([0.1, math.pi / 2]), 0.0, 535e3, 810e-9)
+
+    def test_any_bad_wavelength_rejected(self):
+        with pytest.raises(ValueError, match="wavelength"):
+            SlantPath(0.1, 0.0, 535e3, np.array([810e-9, 0.0]))
+
+
+class TestEmptyHeightRange:
+    @pytest.mark.parametrize("h_low", [30e3, 100e3])
+    def test_receiver_at_or_above_cap_rejected(self, h_low):
+        path = SlantPath(0.0, h_low, 535e3, 810e-9)
+        for metric in (fried_r0, greenwood_frequency, scintillation_index):
+            with pytest.raises(ValueError, match="empty height range"):
+                metric(TurbulenceProfile(), path, h_cap_m=30e3)

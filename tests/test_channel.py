@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from skyqlink.channel import (
     LinkBudget,
     NoiseEnvironment,
-    PointingErrorLevel,
     background_counts,
     beam_radius,
     centered_transmittance,
@@ -275,21 +274,3 @@ class TestRangeArrays:
     def test_nonpositive_range_in_array_rejected(self):
         with pytest.raises(ValueError):
             beam_radius(make_budget(), np.array([1e3, 0.0]))
-
-
-class TestPointingErrorLevel:
-    def test_named_levels(self):
-        assert PointingErrorLevel.named("weak").sigma_rad == pytest.approx(3.3e-6)
-        assert PointingErrorLevel.named("moderate").sigma_rad > \
-            PointingErrorLevel.named("weak").sigma_rad
-
-    def test_custom_and_validation(self):
-        assert PointingErrorLevel.custom(5e-6).label == "custom"
-        with pytest.raises(ValueError):
-            PointingErrorLevel("bogus", 1e-6)
-        with pytest.raises(ValueError):
-            PointingErrorLevel.custom(-1.0)
-
-    def test_budget_with_pointing(self):
-        budget = make_budget().with_pointing(PointingErrorLevel.named("strong"))
-        assert budget.pointing_sigma == pytest.approx(20e-6)

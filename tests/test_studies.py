@@ -1,14 +1,24 @@
 """Study orchestration: CSV schemas, determinism, SVG rendering, CLI."""
 
+import contextlib
 import dataclasses
+import io
 import subprocess
 import sys
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skyqlink import studies
-from skyqlink.scenario import parse_scenario, parse_scenario_text, scenario_from_config_lines
+from skyqlink import cli, entanglement, studies
+from skyqlink.scenario import (
+    SCHEMA,
+    ScenarioError,
+    parse_scenario,
+    parse_scenario_text,
+    scenario_from_config_lines,
+)
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
     PLOT_RECIPES,
@@ -22,6 +32,7 @@ from skyqlink.svg import AxesSpec, render_svg
 
 FIG3 = parse_scenario(bundled_path("fig3_haps_laps"))
 FIG4 = parse_scenario(bundled_path("fig4_leo_ground"))
+FIG3_TEXT = bundled_path("fig3_haps_laps").read_text()
 FIG4_TEXT = bundled_path("fig4_leo_ground").read_text()
 
 # Small orbital scenario keeping pass-based tests fast.
@@ -64,6 +75,19 @@ class TestRunFidelity:
         for row in report.rows:
             assert row[4] == pytest.approx(row[5], rel=1e-12)
 
+    def test_one_channel_evaluation_per_arm(self, monkeypatch):
+        system_loss = entanglement.system_loss
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return system_loss(*args, **kwargs)
+
+        monkeypatch.setattr(entanglement, "system_loss", counted)
+        run_fidelity(FIG3)
+        # 3 PE levels x 2 divergences x 2 arms.
+        assert len(calls) == 12
+
 
 class TestRunTurbulence:
     def test_columns_and_rows(self):
@@ -98,6 +122,32 @@ class TestRunTurbulence:
         with pytest.warns(UserWarning, match="unrelated"):
             report = run_turbulence(parse_scenario_text(""))
         assert not any("scintillation" in w for w in report.warnings)
+
+    def test_one_call_per_metric(self, monkeypatch):
+        calls = dict.fromkeys(("fried_r0", "greenwood_frequency",
+                               "scintillation_index"), 0)
+
+        def counting(name):
+            metric = getattr(studies, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return metric(*args, **kwargs)
+            return counted
+
+        for name in calls:
+            monkeypatch.setattr(studies, name, counting(name))
+        report = run_turbulence(FIG4)
+        assert len(report.rows) == 33 * 2
+        assert calls == {"fried_r0": 1, "greenwood_frequency": 1,
+                         "scintillation_index": 1}
+
+    def test_warning_names_first_strong_row(self):
+        report = run_turbulence(FIG4)
+        zen, wl = next(row[:2] for row in report.rows if row[4] >= 1.0)
+        assert report.warnings == (
+            "scintillation index leaves the weak-fluctuation regime "
+            f"from zenith_deg={zen:.6g} wavelength_nm={wl:.6g}",)
 
     def test_non_finite_cell_is_a_numerical_error(self):
         # Past the parser's Cn2 cap, the scintillation index overflows.
@@ -228,6 +278,24 @@ class TestCli:
             if not line.startswith("#") for cell in line.split(",")]
         assert not {"inf", "-inf", "nan"} & set(cells)
 
+    @pytest.mark.parametrize("study, text, names", [
+        ("turbulence", FIG4_TEXT.replace("rx_altitude_km = 0", "rx_altitude_km = 100"),
+         ("pass.rx_altitude_km = 100", "turbulence.h_cap_km = 30")),
+        ("turbulence", FIG4_TEXT.replace("rx_altitude_km = 0", "rx_altitude_km = 30"),
+         ("pass.rx_altitude_km = 30", "turbulence.h_cap_km = 30")),
+        ("skl", "[protocol]\nsource_rate_mhz = 1e300\n[skl]\ndt_values_s = 10\n",
+         ("pe=weak", "dt_s=10.0")),
+        ("fidelity", FIG3_TEXT.replace("fov_sr = 1.4e-10", "fov_sr = 1e300"),
+         ("pe=weak", "overflow")),
+    ], ids=["fig4-receiver-above-cap", "fig4-receiver-at-cap", "skl-key-past-int64",
+            "fig3-background-overflow"])
+    def test_out_of_model_inputs_exit_3(self, tmp_path, study, text, names):
+        code, stderr, csv_text = run_main(study, text, tmp_path, errors=Warning)
+        assert code == 3
+        assert stderr.startswith(f"numerical failure: {study} study failed")
+        assert all(name in stderr for name in names)
+        assert csv_text is None
+
     def test_missing_scenario_exit_2(self):
         proc = run_cli("pass", "--scenario", "/no/such/file.scn")
         assert proc.returncode == 2
@@ -257,3 +325,100 @@ class TestCli:
         proc = run_cli("pass")
         assert proc.returncode == 0
         assert "t_s,elevation_deg" in proc.stdout
+
+
+def run_main(study, text, tmp_dir, errors=RuntimeWarning):
+    """``cli.main`` in process on scenario text, with warnings of class
+    ``errors`` raised; returns the exit code, stderr and the CSV or None."""
+    scenario, out = tmp_dir / "case.scn", tmp_dir / "out.csv"
+    scenario.write_text(text)
+    out.unlink(missing_ok=True)
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("error", errors)
+        code = cli.main([study, "--scenario", str(scenario), "--out", str(out)])
+    return code, stderr.getvalue(), out.read_text() if out.exists() else None
+
+
+def set_key(text, section, key, raw):
+    """Rewrite ``key`` in place in its ``[section]``, or insert it there."""
+    lines, current, header = text.splitlines(), None, None
+    for i, line in enumerate(lines):
+        body = line.split("#", 1)[0].strip()
+        if body.startswith("["):
+            current = body[1:-1].strip()
+            header = i if current == section else header
+        elif current == section and body.split("=", 1)[0].strip() == key:
+            lines[i] = f"{key} = {raw}"
+            return "\n".join(lines) + "\n"
+    if header is None:
+        lines.append(f"[{section}]")
+        header = len(lines) - 1
+    lines.insert(header + 1, f"{key} = {raw}")
+    return "\n".join(lines) + "\n"
+
+
+FIG2_TEXT = bundled_path("fig2_leo_haps").read_text()
+FUZZ_TEXT = {
+    "pass": FIG2_TEXT,
+    "skl": set_key(FIG2_TEXT, "skl", "dt_values_s", "10"),
+    "fidelity": FIG3_TEXT,
+    "turbulence": FIG4_TEXT,
+}
+# Keys that set how many samples or grid points a study allocates.
+SIZE_KEYS = [("pass", "sample_interval_s"), ("pass", "static_duration_s"),
+             ("fidelity", "radiance_points"), ("turbulence", "zenith_points")]
+# The sections each study reads.
+FUZZ_SECTIONS = {
+    "pass": ("pass", "link"),
+    "skl": ("pass", "link", "noise", "protocol", "optimizer", "security"),
+    "fidelity": ("pass", "link", "noise", "entanglement", "fidelity"),
+    "turbulence": ("pass", "turbulence"),
+}
+FUZZ_KEYS = {study: [(section, key) for section in sections
+                     for key, spec in SCHEMA[section].items()
+                     if spec.kind in ("float", "int") and (section, key) not in SIZE_KEYS]
+             for study, sections in FUZZ_SECTIONS.items()}
+# The whole float line, plus dense draws in the ranges where keys live.
+VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1e3),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(1.0, 10.0), st.integers(-300, 299)))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+class TestExitCodeContract:
+    """One numeric key edited per example: exit 0, 2 or 3, and clean output."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(edit=st.sampled_from(sorted(FUZZ_KEYS)).flatmap(
+        lambda study: st.tuples(st.just(study), st.sampled_from(FUZZ_KEYS[study]))),
+        value=VALUES)
+    def test_numeric_key_edit(self, fuzz_dir, edit, value):
+        study, key = edit
+        text = set_key(FUZZ_TEXT[study], *key, repr(value))
+        code, _, csv_text = run_main(study, text, fuzz_dir)
+        assert code in (0, 2, 3)
+        assert (csv_text is not None) == (code == 0)
+        if csv_text is not None:
+            cells = {cell.strip().lower() for line in csv_text.splitlines()
+                     if not line.startswith("#") for cell in line.split(",")}
+            assert not {"inf", "-inf", "nan"} & cells
+            replayed = scenario_from_config_lines(csv_text.splitlines())
+            assert replayed.digest == parse_scenario_text(text).digest
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(key=st.sampled_from(SIZE_KEYS), value=VALUES)
+    def test_size_key_edit_is_validated(self, key, value):
+        for text in FUZZ_TEXT.values():
+            try:
+                scenario = parse_scenario_text(set_key(text, *key, repr(value)))
+            except ScenarioError:
+                continue
+            if key[1].endswith("_points"):
+                assert 2 <= scenario.get(*key) <= 1e5
