@@ -102,7 +102,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.svg:
         try:
             document = render_svg(report.row_dicts(), PLOT_RECIPES[study])
-        except ValueError as exc:
+        except (ValueError, ArithmeticError) as exc:
             print(f"numerical failure: cannot render figure: {exc}",
                   file=sys.stderr)
             return EXIT_NUMERIC

@@ -61,20 +61,17 @@ class StudyReport:
         return lines
 
     def to_csv(self) -> str:
+        # Formatted column by column: a column is float or text throughout,
+        # so its first cell decides, as in ``_report``'s finite-value scan.
+        cells = [map("{:.9g}".format if isinstance(values[0], float) else str, values)
+                 for values in zip(*self.rows)]
         out = self.metadata_lines()
         out.append(",".join(self.columns))
-        for row in self.rows:
-            out.append(",".join(_csv_cell(v) for v in row))
+        out += map(",".join, zip(*cells))
         return "\n".join(out) + "\n"
 
     def row_dicts(self) -> list[dict]:
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-def _csv_cell(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.9g}"
-    return str(value)
 
 
 # ---------------------------------------------------------------------------

@@ -54,18 +54,15 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if span / (step * mult) <= target:
             step *= mult
             break
-    first = math.ceil(lo / step) * step
-    ticks = []
-    t = first
-    while t <= hi + 1e-12 * span:
-        ticks.append(round(t / step) * step)
-        t += step
-    return ticks
+    # Whole multiples of the step, so the count is bounded even when the
+    # step is below the float spacing of the axis values.
+    return [k * step for k in range(math.ceil(lo / step),
+                                    math.floor((hi + 1e-12 * span) / step) + 1)]
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
     lo_exp = math.floor(math.log10(lo))
-    hi_exp = math.ceil(math.log10(hi))
+    hi_exp = min(math.ceil(math.log10(hi)), 308)  # 1e309 overflows a float
     return [10.0**e for e in range(int(lo_exp), int(hi_exp) + 1)
             if lo <= 10.0**e <= hi]
 
@@ -101,18 +98,13 @@ def _collect_series(rows: list[dict], spec: AxesSpec) -> list[tuple[str, list, l
         groups = [("", rows)]
     else:
         by = spec.series_by if isinstance(spec.series_by, tuple) else (spec.series_by,)
-
-        def group_key(row: dict):
-            return tuple(row[c] for c in by)
-
-        keys: list = []
+        # One pass over the rows; a dict keeps the series in first-seen order.
+        by_key: dict[tuple, list[dict]] = {}
         for row in rows:
-            k = group_key(row)
-            if k not in keys:
-                keys.append(k)
+            by_key.setdefault(tuple([row[c] for c in by]), []).append(row)
         groups = [("/".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                            for v in k),
-                   [r for r in rows if group_key(r) == k]) for k in keys]
+                            for v in k), group_rows)
+                  for k, group_rows in by_key.items()]
     for y_col in spec.ys:
         for group_name, group_rows in groups:
             label = y_col if not group_name else (

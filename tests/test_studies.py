@@ -3,9 +3,11 @@
 import contextlib
 import dataclasses
 import io
+import re
 import subprocess
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from skyqlink.studies import (
     run_study,
     run_turbulence,
 )
-from skyqlink.svg import AxesSpec, render_svg
+from skyqlink.svg import PALETTE, AxesSpec, render_svg
 
 FIG3 = parse_scenario(bundled_path("fig3_haps_laps"))
 FIG4 = parse_scenario(bundled_path("fig4_leo_ground"))
@@ -218,10 +220,48 @@ class TestSvg:
         with pytest.raises(ValueError, match="log x"):
             render_svg(rows, AxesSpec(x="x", ys=("y",), x_log=True))
 
+    def test_interleaved_series_keep_first_seen_and_row_order(self):
+        data = [("A", 2.0, 10.0), ("B", 0.0, 22.0), ("A", 0.0, 11.0),
+                ("B", 2.0, 21.0), ("A", 1.0, 12.0), ("B", 1.0, 20.0)]
+        rows = [{"s": s, "x": x, "y": y} for s, x, y in data]
+        doc = render_svg(rows, AxesSpec(x="x", ys=("y",), series_by="s"))
+        lines = re.findall(r'<polyline points="([^"]*)" fill="none" stroke="([^"]*)"', doc)
+        assert [color for _, color in lines] == list(PALETTE[:2])
+        assert re.findall(r'font-size="11">([AB])</text>', doc) == ["A", "B"]
+        # x spans 0..2 over pixels 80..770, y spans 10..22 over 540..50.
+        for (points, _), series in zip(lines, ("A", "B")):
+            expected = [v for s, x, y in data if s == series
+                        for v in (80 + 345 * x, 540 - 490 * (y - 10) / 12)]
+            got = [float(v) for p in points.split() for v in p.split(",")]
+            assert got == pytest.approx(expected, abs=0.006)
 
-def run_cli(*args):
+    @pytest.mark.parametrize("study, base, edits", [
+        ("fidelity", FIG3_TEXT, [("noise", "fov_sr", "1e-25"), ("noise", "dark_hz", "0"),
+                                 ("link", "pointing_levels", "weak"),
+                                 ("link", "compare_divergence_urad", "34")]),
+        ("turbulence", FIG4_TEXT, [("turbulence", "slew_mode", "fixed"),
+                                   ("turbulence", "slew_rad_s", "2e10"),
+                                   ("turbulence", "wavelengths_nm", "1e-241")]),
+    ], ids=["fig3-fidelity-axis-narrower-than-float-spacing",
+            "fig4-greenwood-past-1e308"])
+    def test_extreme_axis_ranges_render(self, tmp_path, study, base, edits):
+        for section, key, raw in edits:
+            base = set_key(base, section, key, raw)
+        scenario, svg = tmp_path / "case.scn", tmp_path / "fig.svg"
+        scenario.write_text(base)
+        proc = run_cli(study, "--scenario", str(scenario), "--svg", str(svg),
+                       timeout=60)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        y_ticks = ElementTree.parse(svg).getroot().findall(
+            "{http://www.w3.org/2000/svg}text[@text-anchor='end']")
+        if study == "turbulence":
+            assert y_ticks[-1].text == "1e+308"
+
+
+def run_cli(*args, timeout=None):
     return subprocess.run([sys.executable, "-m", "skyqlink.cli", *args],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, timeout=timeout)
 
 
 class TestCli:
@@ -336,7 +376,8 @@ def run_main(study, text, tmp_dir, errors=RuntimeWarning):
     stderr = io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error", errors)
-        code = cli.main([study, "--scenario", str(scenario), "--out", str(out)])
+        code = cli.main([study, "--scenario", str(scenario), "--out", str(out),
+                         "--svg", str(tmp_dir / "fig.svg")])
     return code, stderr.getvalue(), out.read_text() if out.exists() else None
 
 
