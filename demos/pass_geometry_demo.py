@@ -20,15 +20,18 @@ pass_geometry = propagate_pass(leo, haps, max_elevation_rad=math.pi / 2,
 print(f"samples above 10 deg elevation: {len(pass_geometry)}")
 print(f"pass duration: {pass_geometry.duration_s:.0f} s")
 
-mid = pass_geometry.sample(len(pass_geometry) // 2)
-print(f"culmination: elevation {math.degrees(mid.elevation_rad):.1f} deg, "
-      f"range {mid.range_m / 1e3:.1f} km, slew {mid.slew_rad_s * 1e3:.2f} mrad/s")
+mid = len(pass_geometry) // 2
+print(f"culmination: elevation "
+      f"{math.degrees(pass_geometry.elevation_rad[mid]):.1f} deg, "
+      f"range {pass_geometry.range_m[mid] / 1e3:.1f} km, "
+      f"slew {pass_geometry.slew_rad_s[mid] * 1e3:.2f} mrad/s")
 
 v_orb = math.sqrt(GM_EARTH / (EARTH_RADIUS + 535e3))
 print(f"analytic overhead slew v/L = {v_orb / (535e3 - 20e3) * 1e3:.2f} mrad/s")
 
 print("\n   t(s)   elev(deg)   range(km)   slew(mrad/s)")
 for i in range(0, len(pass_geometry), len(pass_geometry) // 10):
-    s = pass_geometry.sample(i)
-    print(f"{s.t_s:7.0f}   {math.degrees(s.elevation_rad):9.2f}   "
-          f"{s.range_m / 1e3:9.1f}   {s.slew_rad_s * 1e3:10.3f}")
+    print(f"{pass_geometry.t_s[i]:7.0f}   "
+          f"{math.degrees(pass_geometry.elevation_rad[i]):9.2f}   "
+          f"{pass_geometry.range_m[i] / 1e3:9.1f}   "
+          f"{pass_geometry.slew_rad_s[i] * 1e3:10.3f}")

@@ -32,7 +32,7 @@ EXIT_NUMERIC = 3
 
 def _load_scenario(arg: str | None) -> Scenario:
     if arg is None:
-        return parse_scenario_text("", source="<defaults>")
+        return parse_scenario_text("")
     path = Path(arg)
     if path.exists():
         return parse_scenario(path)
@@ -106,14 +106,19 @@ def main(argv: list[str] | None = None) -> int:
             print(f"numerical failure: cannot render figure: {exc}",
                   file=sys.stderr)
             return EXIT_NUMERIC
-        Path(args.svg).write_text(document, encoding="utf-8")
 
-    if args.command != "plot":
-        csv_text = report.to_csv()
-        if args.out:
-            Path(args.out).write_text(csv_text, encoding="utf-8")
-        else:
-            sys.stdout.write(csv_text)
+    try:
+        if args.svg:
+            Path(args.svg).write_text(document, encoding="utf-8")
+        if args.command != "plot":
+            csv_text = report.to_csv()
+            if args.out:
+                Path(args.out).write_text(csv_text, encoding="utf-8")
+            else:
+                sys.stdout.write(csv_text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -529,6 +529,9 @@ def _params_from_vector(vec: Sequence[float], mu3: float,
                           p3=1.0 - p1 - p2, px=px, source_rate=source_rate)
 
 
+# Seeding grid points per axis, and the best grid points refined.
+_GRID_POINTS = 5
+_N_STARTS = 3
 # Refinement levels after the seeding grid.  On the fig2 recipe's 30
 # windows, 14 levels keep the total key within 0.001% of a bounded
 # Nelder-Mead search; 8 levels run a third faster but lose 0.025%.
@@ -538,20 +541,20 @@ _STENCIL = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 5, indexing="ij"),
 
 
 def _ranked(vectors: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Row indices ordered by (-score, vector), columns breaking ties in order."""
-    return np.lexsort(tuple(vectors.T[::-1]) + (-scores,))
+    """Indices along the second-to-last axis of ``vectors`` (the last of
+    ``scores``) ordered by (-score, vector), columns breaking ties in order."""
+    return np.lexsort(tuple(np.moveaxis(vectors, -1, 0)[::-1]) + (-scores,))
 
 
 def optimize_params(link: Sequence[LinkSample], window_half: float,
                     security: SecurityParams,
                     bounds_box: BoundsBox | None = None,
-                    mu3: float = 0.0, source_rate: float = 2e8,
-                    grid_points: int = 5,
-                    n_starts: int = 3) -> tuple[ProtocolParams, FiniteKeyResult]:
+                    mu3: float = 0.0, source_rate: float = 2e8
+                    ) -> tuple[ProtocolParams, FiniteKeyResult]:
     """Maximise the window SKL over (mu1, mu2, px, p1, p2).
 
-    A deterministic ``grid_points``-per-axis seeding grid is scored in one
-    :func:`skl_batch` call, and its ``n_starts`` best points become the
+    A deterministic 5-point-per-axis seeding grid (3,125 points) is scored
+    in one :func:`skl_batch` call, and its 3 best points become the
     incumbents of a batched stencil refinement.  Each incumbent carries a
     per-axis step, initially half the grid spacing.  At every level, the
     3^5 stencil of each incumbent (every axis at -step, 0 and +step,
@@ -571,10 +574,10 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
     window = AcquisitionWindow(link, window_half)
     kernel_args = (window, security, mu3, source_rate)
-    axes = [np.linspace(lo, hi, grid_points) for lo, hi in zip(lower, upper)]
+    axes = [np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
     grid_scores = skl_batch(grid, *kernel_args)
-    ranked = _ranked(grid, grid_scores)[:n_starts]
+    ranked = _ranked(grid, grid_scores)[:_N_STARTS]
     best, best_scores = grid[ranked], grid_scores[ranked]
 
     if best_scores[0] < 0:
@@ -583,7 +586,7 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
             raise ValueError(
                 "bounds box contains no valid protocol-parameter combination")
     elif best_scores[0] > 0:
-        step = np.tile((upper - lower) / (grid_points - 1) / 2.0, (len(best), 1))
+        step = np.tile((upper - lower) / (_GRID_POINTS - 1) / 2.0, (len(best), 1))
         for _ in range(_STENCIL_LEVELS):
             probes = np.clip(best[:, None, :] + step[:, None, :] * _STENCIL,
                              lower, upper)
@@ -591,11 +594,9 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
                 len(best), -1)
             # The stencil holds the incumbent itself, so its best point is
             # the incumbent unless some point is strictly better.
-            for i, (points, scores) in enumerate(zip(probes, probe_scores)):
-                j = _ranked(points, scores)[0]
-                if np.array_equal(points[j], best[i]):
-                    step[i] /= 2.0
-                best[i], best_scores[i] = points[j], scores[j]
+            pick = np.arange(len(best)), _ranked(probes, probe_scores)[:, 0]
+            step[(probes[pick] == best).all(axis=1)] /= 2.0
+            best, best_scores = probes[pick], probe_scores[pick]
         best = best[_ranked(best, best_scores)]
 
     params = _params_from_vector(best[0], mu3, source_rate)

@@ -3,8 +3,9 @@
 Covers both an orbiting transmitter seen from a quasi-static station
 (LEO satellite over a ground station or HAPS) and short quasi-static
 links (HAPS to LAPS).  Earth rotation during a ~10 minute pass changes
-the range by well under 1% and is neglected.  A pass is a set of arrays,
-of at most ``MAX_PASS_SAMPLES`` samples, which the channel takes whole.
+the range by well under 1% and is neglected.  A pass is a set of arrays
+(time, elevation, slant range and slew) of at most ``MAX_PASS_SAMPLES``
+samples, which the channel takes whole and callers index directly.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -44,19 +44,9 @@ class PlatformSpec:
             raise ValueError(f"altitude must be >= 0, got {self.altitude_m}")
 
 
-class PassSample(NamedTuple):
-    """One time step of a pass: angles in rad, range in m, slew in rad/s."""
-
-    t_s: float
-    elevation_rad: float
-    zenith_rad: float
-    range_m: float
-    slew_rad_s: float
-
-
 @dataclass(frozen=True)
 class PassGeometry:
-    """Time series of elevation, zenith, slant range and slew over one pass.
+    """Time series of elevation, slant range and slew over one pass.
 
     Time is measured relative to the instant of maximum elevation, so the
     elevation profile is unimodal with its peak at ``t = 0``.  Arrays are
@@ -65,12 +55,11 @@ class PassGeometry:
 
     t_s: np.ndarray
     elevation_rad: np.ndarray
-    zenith_rad: np.ndarray
     range_m: np.ndarray
     slew_rad_s: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("t_s", "elevation_rad", "zenith_rad", "range_m", "slew_rad_s"):
+        for name in ("t_s", "elevation_rad", "range_m", "slew_rad_s"):
             arr = getattr(self, name)
             arr.flags.writeable = False
         if np.any(np.diff(self.t_s) <= 0):
@@ -80,22 +69,6 @@ class PassGeometry:
 
     def __len__(self) -> int:
         return len(self.t_s)
-
-    def sample(self, index: int) -> PassSample:
-        if not 0 <= index < len(self):
-            raise IndexError(f"sample index {index} out of range 0..{len(self) - 1}")
-        return PassSample(
-            float(self.t_s[index]),
-            float(self.elevation_rad[index]),
-            float(self.zenith_rad[index]),
-            float(self.range_m[index]),
-            float(self.slew_rad_s[index]),
-        )
-
-    @property
-    def samples(self) -> Iterator[PassSample]:
-        for i in range(len(self)):
-            yield self.sample(i)
 
     @property
     def duration_s(self) -> float:
@@ -107,8 +80,7 @@ class PassGeometry:
         return float(np.max(self.slew_rad_s))
 
 
-def slant_range(elevation_rad: float, h_tx_m: float, h_rx_m: float,
-                earth_radius_m: float = EARTH_RADIUS) -> float:
+def slant_range(elevation_rad: float, h_tx_m: float, h_rx_m: float) -> float:
     """Slant range between a receiver and a higher transmitter.
 
     Law-of-cosines range on a spherical Earth:
@@ -130,8 +102,8 @@ def slant_range(elevation_rad: float, h_tx_m: float, h_rx_m: float,
             f"transmitter altitude {h_tx_m} must exceed receiver altitude {h_rx_m}")
     if not 0.0 <= elevation_rad <= math.pi / 2:
         raise ValueError(f"elevation must be in [0, pi/2], got {elevation_rad}")
-    r_tx = earth_radius_m + h_tx_m
-    r_rx = earth_radius_m + h_rx_m
+    r_tx = EARTH_RADIUS + h_tx_m
+    r_rx = EARTH_RADIUS + h_rx_m
     cos_e = math.cos(elevation_rad)
     return math.sqrt(r_tx * r_tx - (r_rx * cos_e) ** 2) - r_rx * math.sin(elevation_rad)
 
@@ -250,7 +222,6 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
     return PassGeometry(
         t_s=t,
         elevation_rad=elevation,
-        zenith_rad=math.pi / 2 - elevation,
         range_m=rng,
         slew_rad_s=_slew_from_los(t, los_unit),
     )
@@ -275,25 +246,9 @@ def static_pass(high: PlatformSpec, low: PlatformSpec, zenith_rad: float,
     rng = short_range_path(zenith_rad, high.altitude_m, low.altitude_m)
     n_half = max(1, _half_count(duration_s / 2.0, sample_interval_s))
     t = np.arange(-n_half, n_half + 1, dtype=float) * sample_interval_s
-    elevation = np.full_like(t, math.pi / 2 - zenith_rad)
     return PassGeometry(
         t_s=t,
-        elevation_rad=elevation,
-        zenith_rad=np.full_like(t, zenith_rad),
+        elevation_rad=np.full_like(t, math.pi / 2 - zenith_rad),
         range_m=np.full_like(t, rng),
         slew_rad_s=np.zeros_like(t),
     )
-
-
-def slew_rate(pass_geometry: PassGeometry, index: int) -> float:
-    """Line-of-sight angular rate at a sample, rad/s (always >= 0).
-
-    Central finite difference of the line-of-sight direction at the
-    station; endpoints use one-sided differences.
-    """
-    if len(pass_geometry) < 3:
-        raise ValueError("slew rate needs a pass with at least 3 samples")
-    if not 0 <= index < len(pass_geometry):
-        raise IndexError(
-            f"sample index {index} out of range 0..{len(pass_geometry) - 1}")
-    return float(pass_geometry.slew_rad_s[index])

@@ -227,7 +227,6 @@ class Scenario:
 
     values: dict[str, dict[str, Any]]
     defaulted: frozenset[tuple[str, str]]
-    source: str = "<defaults>"
 
     def get(self, section: str, key: str) -> Any:
         return self.values[section][key]
@@ -277,7 +276,7 @@ def _validate_cross_keys(values: dict[str, dict[str, Any]]) -> None:
         raise ScenarioError("turbulence.zenith_max_deg must be < 90")
 
 
-def _resolve(parsed: dict[str, dict[str, Any]], source: str) -> Scenario:
+def _resolve(parsed: dict[str, dict[str, Any]]) -> Scenario:
     values: dict[str, dict[str, Any]] = {}
     defaulted = set()
     for section, keys in SCHEMA.items():
@@ -289,7 +288,7 @@ def _resolve(parsed: dict[str, dict[str, Any]], source: str) -> Scenario:
                 values[section][key] = spec.default
                 defaulted.add((section, key))
     _validate_cross_keys(values)
-    return Scenario(values=values, defaulted=frozenset(defaulted), source=source)
+    return Scenario(values=values, defaulted=frozenset(defaulted))
 
 
 def _set_key(parsed: dict[str, dict[str, Any]], section: str, key: str,
@@ -311,7 +310,7 @@ def _set_key(parsed: dict[str, dict[str, Any]], section: str, key: str,
     keys[key] = value
 
 
-def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
+def parse_scenario_text(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with diagnostics."""
     parsed: dict[str, dict[str, Any]] = {}
     section: str | None = None
@@ -335,7 +334,7 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             raise ScenarioError("key outside any [section]", lineno, column)
         key, raw_value = (part.strip() for part in stripped.split("=", 1))
         _set_key(parsed, section, key, raw_value, lineno, column)
-    return _resolve(parsed, source)
+    return _resolve(parsed)
 
 
 def parse_scenario(path: str | Path) -> Scenario:
@@ -347,7 +346,7 @@ def parse_scenario(path: str | Path) -> Scenario:
         raise ScenarioError(f"cannot read scenario file {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from exc
-    return parse_scenario_text(text, source=str(path))
+    return parse_scenario_text(text)
 
 
 def scenario_from_config_lines(lines: Iterable[str]) -> Scenario:
@@ -378,7 +377,7 @@ def scenario_from_config_lines(lines: Iterable[str]) -> Scenario:
         if "." not in dotted:
             raise ScenarioError(f"expected section.key, got {dotted!r}", lineno)
         _set_key(parsed, *dotted.split(".", 1), raw_value, lineno, 1)
-    return _resolve(parsed, source="<metadata>")
+    return _resolve(parsed)
 
 
 # Unit conversions for the suffix conventions used in scenario keys.

@@ -41,8 +41,13 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def _tick_label(v: float) -> str:
-    return f"{v:.6g}"
+def _tick_labels(ticks: list[float]) -> list[str]:
+    """Labels at the fewest significant digits, 6 to 17, that keep them distinct."""
+    for digits in range(6, 18):
+        labels = ["%.*g" % (digits, v) for v in ticks]
+        if len(set(labels)) == len(labels):
+            break
+    return labels
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
@@ -54,10 +59,11 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
         if span / (step * mult) <= target:
             step *= mult
             break
-    # Whole multiples of the step, so the count is bounded even when the
-    # step is below the float spacing of the axis values.
-    return [k * step for k in range(math.ceil(lo / step),
-                                    math.floor((hi + 1e-12 * span) / step) + 1)]
+    # Whole multiples of the step, each float once: the count stays bounded
+    # even when the step is below the float spacing of the axis values.
+    return list(dict.fromkeys(
+        k * step for k in range(math.ceil(lo / step),
+                                math.floor((hi + 1e-12 * span) / step) + 1)))
 
 
 def _log_ticks(lo: float, hi: float) -> list[float]:
@@ -86,10 +92,11 @@ class _Axis:
         frac = (t - self.lo) / (self.hi - self.lo)
         return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
-    def ticks(self) -> list[float]:
-        if self.log:
-            return _log_ticks(10.0**self.lo, 10.0**self.hi)
-        return _nice_ticks(self.lo, self.hi)
+    def ticks(self) -> list[tuple[float, str]]:
+        """Tick values paired with their labels."""
+        ticks = (_log_ticks(10.0**self.lo, 10.0**self.hi) if self.log
+                 else _nice_ticks(self.lo, self.hi))
+        return list(zip(ticks, _tick_labels(ticks)))
 
 
 def _collect_series(rows: list[dict], spec: AxesSpec) -> list[tuple[str, list, list]]:
@@ -151,18 +158,18 @@ def render_svg(rows: list[dict], spec: AxesSpec) -> str:
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                  'fill="none" stroke="black"/>')
-    for t in x_axis.ticks():
+    for t, label in x_axis.ticks():
         px = x_axis.to_pix(t)
         parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" '
                      f'y2="{y0 + 5}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{y0 + 20}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>')
-    for t in y_axis.ticks():
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
+    for t, label in y_axis.ticks():
         py = y_axis.to_pix(t)
         parts.append(f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" '
                      f'y2="{_fmt(py)}" stroke="black"/>')
         parts.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{_tick_label(t)}</text>')
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
     if spec.x_label:
         parts.append(f'<text x="{(x0 + x1) / 2:.0f}" y="{HEIGHT - 15}" '
                      'text-anchor="middle" font-family="sans-serif" '

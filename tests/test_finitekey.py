@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from skyqlink import finitekey
 from skyqlink.channel import LinkSample, link_timeseries
@@ -435,6 +436,28 @@ def searched(request, monkeypatch):
     return SimpleNamespace(link=link, window_half=window_half, security=security,
                            box=box, params=params, result=result,
                            skl_calls=len(calls))
+
+
+# (k, m, 5) points from three values and (k, m) small-integer scores, so
+# that duplicate rows and score ties are common.
+_ranked_cases = st.tuples(st.integers(1, 4), st.integers(1, 12)).flatmap(
+    lambda km: st.tuples(
+        hnp.arrays(float, (*km, 5), elements=st.sampled_from([0.1, 0.5, 0.9])),
+        hnp.arrays(np.int64, km, elements=st.integers(-1, 2))))
+
+
+class TestRanked:
+    @given(_ranked_cases)
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_batched_pick_matches_python_order(self, case):
+        points, scores = case
+        m = points.shape[1]
+        expected = [min(range(m), key=lambda i: (-s[i], tuple(p[i])))
+                    for p, s in zip(points, scores)]
+        ranked = finitekey._ranked(points, scores)
+        assert ranked[:, 0].tolist() == expected
+        assert ranked.tolist() == [finitekey._ranked(p, s).tolist()
+                                   for p, s in zip(points, scores)]
 
 
 class TestStencilSearch:

@@ -15,7 +15,6 @@ from skyqlink.geometry import (
     propagate_pass,
     short_range_path,
     slant_range,
-    slew_rate,
     static_pass,
 )
 
@@ -98,10 +97,6 @@ class TestPropagatePass:
         assert np.max(np.abs(p.elevation_rad - p.elevation_rad[::-1])) < 1e-9
         assert np.max(np.abs(p.range_m - p.range_m[::-1]) / p.range_m) < 1e-9
 
-    def test_zenith_complements_elevation(self):
-        p = propagate_pass(LEO, HAPS)
-        assert np.max(np.abs(p.zenith_rad + p.elevation_rad - math.pi / 2)) == 0.0
-
     def test_range_consistent_with_slant_range(self):
         p = propagate_pass(LEO, GROUND, max_elevation_rad=math.radians(60.0))
         for i in range(0, len(p), 37):
@@ -164,7 +159,7 @@ class TestSlewRate:
     def test_static_pair_has_zero_slew(self):
         p = static_pass(HAPS, LAPS, math.radians(40.0))
         for i in range(len(p)):
-            assert slew_rate(p, i) == 0.0
+            assert p.slew_rad_s[i] == 0.0
 
     def test_overhead_peak_matches_analytic_formula(self):
         # Oracle: at culmination the full orbital velocity is transverse to
@@ -174,25 +169,18 @@ class TestSlewRate:
             v_orb = math.sqrt(GM_EARTH / (EARTH_RADIUS + 535e3))
             expected = v_orb / (535e3 - station.altitude_m)
             i0 = int(np.argmin(np.abs(p.t_s)))
-            assert slew_rate(p, i0) == pytest.approx(expected, rel=5e-3)
+            assert p.slew_rad_s[i0] == pytest.approx(expected, rel=5e-3)
 
     def test_peak_slew_at_culmination(self):
         p = propagate_pass(LEO, HAPS)
         i0 = int(np.argmin(np.abs(p.t_s)))
-        assert slew_rate(p, i0) == p.peak_slew_rad_s
-        assert slew_rate(p, 0) < slew_rate(p, i0)
-        assert slew_rate(p, len(p) - 1) < slew_rate(p, i0)
+        assert p.slew_rad_s[i0] == p.peak_slew_rad_s
+        assert p.slew_rad_s[0] < p.slew_rad_s[i0]
+        assert p.slew_rad_s[len(p) - 1] < p.slew_rad_s[i0]
 
     def test_always_nonnegative(self):
         p = propagate_pass(LEO, GROUND, max_elevation_rad=math.radians(30.0))
         assert np.all(p.slew_rad_s >= 0)
-
-    def test_index_checked(self):
-        p = propagate_pass(LEO, HAPS)
-        with pytest.raises(IndexError):
-            slew_rate(p, len(p))
-        with pytest.raises(IndexError):
-            p.sample(-1)
 
 
 class TestPassGeometryContainer:
@@ -203,10 +191,9 @@ class TestPassGeometryContainer:
 
     def test_sample_iteration(self):
         p = static_pass(HAPS, LAPS, math.radians(40.0), duration_s=10.0)
-        samples = list(p.samples)
-        assert len(samples) == len(p)
-        assert samples[0].zenith_rad == pytest.approx(math.radians(40.0))
-        assert samples[0].range_m == pytest.approx(24.8e3, rel=2e-3)
+        assert len(p.range_m) == len(p)
+        assert math.pi / 2 - p.elevation_rad[0] == pytest.approx(math.radians(40.0))
+        assert p.range_m[0] == pytest.approx(24.8e3, rel=2e-3)
 
 
 class TestPassLimits:

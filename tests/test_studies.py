@@ -257,6 +257,9 @@ class TestSvg:
             "{http://www.w3.org/2000/svg}text[@text-anchor='end']")
         if study == "turbulence":
             assert y_ticks[-1].text == "1e+308"
+        if study == "fidelity":
+            labels = [t.text for t in y_ticks]
+            assert len(set(labels)) == len(labels), labels
 
 
 def run_cli(*args, timeout=None):
@@ -365,6 +368,20 @@ class TestCli:
         proc = run_cli("pass")
         assert proc.returncode == 0
         assert "t_s,elevation_deg" in proc.stdout
+
+    @pytest.mark.parametrize("argv, name", [
+        (["pass", "--out"], "pass.csv"),
+        (["plot", "--study", "pass", "--svg"], "pass.svg"),
+    ], ids=["study-out", "plot-svg"])
+    def test_unwritable_output_exit_2(self, tmp_path, argv, name):
+        target = tmp_path / "missing" / name
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main([*argv, str(target)])
+        assert code == 2
+        assert stderr.getvalue().startswith("error: cannot write output: ")
+        assert "Traceback" not in stderr.getvalue()
+        assert not target.parent.exists()
 
 
 def run_main(study, text, tmp_dir, errors=RuntimeWarning):
