@@ -1,6 +1,6 @@
 """Free-space quantum link simulation for satellite, HAPS, and LAPS platforms.
 
-The package is organised as a small numpy/scipy library:
+The package is organised as a small numpy library:
 
 - :mod:`skyqlink.geometry` -- pass geometry (elevation, slant range, slew rate)
 - :mod:`skyqlink.atmosphere` -- turbulence and wind profiles, Fried length,

@@ -16,10 +16,12 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import erf
 
 from .constants import LIGHT_SPEED, PLANCK
 from .geometry import PassGeometry
+
+_ERF = np.frompyfunc(math.erf, 1, 1)
+"""``math.erf`` as an object-dtype ufunc, for arrays of beam ratios."""
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ def _equivalent_beam(a: float, w: float | np.ndarray) -> tuple:
     aperture is so much wider than the beam that exp(-v^2) underflows.
     """
     v = math.sqrt(math.pi / 2.0) * a / w
-    erf_v = erf(v)
+    erf_v = np.asarray(_ERF(v), dtype=float)[()]
     denom = 2.0 * v * np.exp(-v * v)
     return erf_v * erf_v, w * w * math.sqrt(math.pi) * erf_v / denom
 

@@ -178,7 +178,7 @@ class TestCriterion4Oracles:
                         mc = pointing_transmittance_mc(budget, rng, n_draws=10**6)
                         assert mc == pytest.approx(closed, rel=1e-2)
 
-            # Turbulence moments: adaptive quadrature vs 10x-refined Simpson.
+            # Turbulence moments: Gauss-Legendre rule vs 10x-refined Simpson.
             for profile in (build_turbulence_profile(FIG4),
                             build_turbulence_profile(FIG3)):
                 path = SlantPath(math.radians(40.0), 0.0, 535e3, 810e-9)
@@ -198,11 +198,11 @@ class TestCriterion4Oracles:
                      lambda mu: 2.25 * k**(7 / 6) * sec_z**(11 / 6) * mu,
                      si_value),
                 ]
-                for integrand, to_metric, adaptive in checks:
+                for integrand, to_metric, computed in checks:
                     refined = _simpson(integrand, 0.0, 30e3, 20000)
                     coarse = _simpson(integrand, 0.0, 30e3, 2000)
                     assert abs(refined - coarse) / refined < 1e-3
-                    assert adaptive == pytest.approx(to_metric(refined), rel=1e-3)
+                    assert computed == pytest.approx(to_metric(refined), rel=1e-3)
 
             # Decoy bounds, infinite-sample limit vs Poisson expansion.
             params = ProtocolParams(mu1=0.3, mu2=0.04, mu3=0.0,

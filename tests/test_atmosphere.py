@@ -9,10 +9,14 @@ import pytest
 from skyqlink.atmosphere import (
     SlantPath,
     TurbulenceProfile,
+    _moment,
     fried_r0,
     greenwood_frequency,
     scintillation_index,
 )
+from skyqlink.scenario import parse_scenario
+from skyqlink.scenarios import bundled_path
+from skyqlink.studies import build_turbulence_profile
 
 WL_RATIO = (1550.0 / 810.0) ** (6.0 / 5.0)
 
@@ -171,7 +175,7 @@ class TestScintillationIndex:
 
 
 class TestQuadratureAgreement:
-    """Adaptive quadrature vs 10x-refined fixed-step Simpson, within 0.1%."""
+    """Fixed Gauss-Legendre moments vs 10x-refined fixed-step Simpson, within 0.1%."""
 
     def test_all_three_moments(self):
         prof = TurbulenceProfile(rms_upper_wind=21.0, ground_wind=5.0,
@@ -191,11 +195,72 @@ class TestQuadratureAgreement:
              lambda mu: 2.25 * k ** (7.0 / 6.0) * sec_z ** (11.0 / 6.0) * mu,
              scintillation_index(prof, path)),
         ]
-        for integrand, to_metric, adaptive_value in cases:
+        for integrand, to_metric, computed in cases:
             coarse = simpson_moment(integrand, 0.0, 30e3, 2000)
             refined = simpson_moment(integrand, 0.0, 30e3, 20000)
             assert abs(refined - coarse) / refined < 1e-3
-            assert adaptive_value == pytest.approx(to_metric(refined), rel=1e-3)
+            assert computed == pytest.approx(to_metric(refined), rel=1e-3)
+
+
+class TestMomentRule:
+    """The fixed Gauss-Legendre rule against closed forms and 30-digit values."""
+
+    # Each recipe's profile from pass.rx_altitude_km to min(tx_altitude_km,
+    # h_cap_km), integrated at 40 digits with mpmath 1.3.0 (tanh-sinh, split
+    # at the profile's knees).  Gauss-Legendre at 45 digits on 40 panels of
+    # the u^6 substitution agrees in all 30 digits shown.
+    REFERENCE = {
+        "fig2_leo_haps": (20e3, 30e3, {
+            "one": 1.40753371499823007706680385859e-15,
+            "wind": 2.11506572237505429456926574281e-14,
+            "path": 6.66935645924858713661338399551e-13}),
+        "fig3_haps_laps": (1e3, 20e3, {
+            "one": 2.73819174453537754666853921088e-13,
+            "wind": 2.67042331909066751073594564391e-11,
+            "path": 2.26113958111241669976715490404e-10}),
+        "fig4_leo_ground": (0.0, 30e3, {
+            "one": 4.24124025574380805354124614569e-12,
+            "wind": 1.30751812486256517902275265041e-8,
+            "path": 5.19477498688056509938387195495e-9}),
+    }
+
+    @pytest.mark.parametrize("h_low, h_high", [(0.0, 30e3), (1e3, 20e3),
+                                               (1e3, 1e3 + 1.0)])
+    def test_constant_profile_closed_forms(self, h_low, h_high):
+        c, v = 3e-15, 20.0
+        prof = ConstantProfile(c, v)
+        span = h_high - h_low
+        assert _moment(prof, "one", h_low, h_high) == pytest.approx(
+            c * span, rel=1e-13, abs=0.0)
+        assert _moment(prof, "wind", h_low, h_high) == pytest.approx(
+            c * v ** (5.0 / 3.0) * span, rel=1e-13, abs=0.0)
+        assert _moment(prof, "path", h_low, h_high) == pytest.approx(
+            c * (6.0 / 11.0) * span ** (11.0 / 6.0), rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("recipe", sorted(REFERENCE))
+    def test_recipe_profiles_match_reference(self, recipe):
+        prof = build_turbulence_profile(parse_scenario(bundled_path(recipe)))
+        h_low, h_high, moments = self.REFERENCE[recipe]
+        for weight, reference in moments.items():
+            assert _moment(prof, weight, h_low, h_high) == pytest.approx(
+                reference, rel=1e-13, abs=0.0), weight
+
+
+class TestProfileArrays:
+    PROFILE = TurbulenceProfile(rms_upper_wind=85.0, slew_rate=0.0142)
+    HEIGHTS = np.array([0.0, 50.0, 1e3, 9.4e3, 2e4, 3e4, 1e5])
+
+    @pytest.mark.parametrize("method", ["cn2", "wind"])
+    def test_array_matches_scalar_calls(self, method):
+        f = getattr(self.PROFILE, method)
+        values = f(self.HEIGHTS)
+        assert values.shape == self.HEIGHTS.shape
+        assert values.tolist() == [f(h) for h in self.HEIGHTS.tolist()]
+
+    @pytest.mark.parametrize("method", ["cn2", "wind"])
+    def test_any_negative_altitude_rejected(self, method):
+        with pytest.raises(ValueError, match="altitude"):
+            getattr(self.PROFILE, method)(np.array([0.0, 1e3, -1e-9]))
 
 
 class TestArrayPaths:

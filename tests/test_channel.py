@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from skyqlink.channel import (
     LinkBudget,
+    _equivalent_beam,
     NoiseEnvironment,
     background_counts,
     beam_radius,
@@ -123,6 +124,25 @@ class TestPointingTransmittance:
         values = [pointing_transmittance_expected(budget, rng)
                   for rng in (100e3, 300e3, 515e3, 1000e3, 2000e3)]
         assert all(a > b for a, b in zip(values, values[1:]))
+
+
+class TestEquivalentBeam:
+    A = 0.175
+    WIDTHS = A * np.geomspace(0.2, 50.0, 41)
+
+    def test_array_matches_math_erf_bits(self):
+        a0, w_eq_sq = _equivalent_beam(self.A, self.WIDTHS)
+        w = self.WIDTHS
+        v = math.sqrt(math.pi / 2.0) * self.A / w
+        erf_v = np.array([math.erf(x) for x in v.tolist()])
+        np.testing.assert_array_equal(a0, erf_v * erf_v)
+        np.testing.assert_array_equal(
+            w_eq_sq, w * w * math.sqrt(math.pi) * erf_v / (2.0 * v * np.exp(-v * v)))
+
+    def test_float_in_gives_float64(self):
+        a0, w_eq_sq = _equivalent_beam(self.A, 0.3)
+        assert type(a0) is np.float64
+        assert type(w_eq_sq) is np.float64
 
 
 class TestSystemLoss:

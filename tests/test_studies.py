@@ -267,6 +267,43 @@ def run_cli(*args, timeout=None):
                           capture_output=True, text=True, timeout=timeout)
 
 
+# Run in a fresh interpreter whose import system refuses scipy, so the
+# check holds also where scipy is installed.
+NO_SCIPY_RUN = """
+import sys
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} must not be imported")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+from skyqlink import cli
+from skyqlink.scenarios import BUNDLED
+
+out = sys.argv[1]
+# fidelity needs a static pair, which only fig3 has.
+jobs = [[study, "--scenario", name] for study in ("pass", "turbulence")
+        for name in BUNDLED] + [["fidelity", "--scenario", "fig3_haps_laps"],
+                                ["skl", "--scenario", "fig2_leo_haps"]]
+for args in jobs:
+    code = cli.main(args + ["--out", out + "/report.csv", "--svg", out + "/figure.svg"])
+    assert code == 0, (args, code)
+leaked = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+assert not leaked, leaked
+"""
+
+
+class TestNoScipy:
+    def test_studies_run_with_scipy_refused(self, tmp_path):
+        proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
+
 class TestCli:
     def test_turbulence_stdout(self):
         proc = run_cli("turbulence", "--scenario", str(bundled_path("fig4_leo_ground")))
