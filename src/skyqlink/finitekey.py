@@ -18,16 +18,17 @@ meant to generate; no per-pulse sampling is performed.
 :func:`skl_batch` scores an ``(N, 5)`` batch of ``(mu1, mu2, px, p1,
 p2)`` vectors over one :class:`AcquisitionWindow` in array form.  Up to
 the decoy bounds it performs the scalar ``skl(simulate_tallies(...))``
-path's floating-point operations in the same order: window sums are
-taken once per distinct intensity through the scalar path's own
-expression, and the exponentials and squares of the parameters go
-through the same Python calls once per distinct value.  The logarithmic
-tail (phase-error bound and binary entropies) is evaluated as numpy
-expressions over the feasible rows.  numpy's SIMD ``log2`` may differ
-from libm's in the last ulp, so the floats behind a row can differ from
-the scalar path's while its integer key length agrees.  Vectors that
-:class:`ProtocolParams` would reject score -1 instead of raising;
-inconsistent tallies still raise.
+path's floating-point operations in the same order: one
+:meth:`AcquisitionWindow.sums` call, the scalar path's own, takes the
+window sums of all distinct intensities; the exponentials and squares
+of the parameters go through the same Python calls once per distinct
+value; both bases' bounds are one pass over ``(basis, intensity, row)``
+arrays.  The logarithmic tail (phase-error bound and binary entropies)
+is evaluated as numpy expressions over the feasible rows.  numpy's SIMD
+``log2`` may differ from libm's in the last ulp, so the floats behind a
+row can differ from the scalar path's while its integer key length
+agrees.  Vectors that :class:`ProtocolParams` would reject score -1
+instead of raising; inconsistent tallies still raise.
 
 :func:`optimize_params` runs entirely on the kernel: a seeding grid in
 one call, then a fixed number of batched stencil-refinement levels.  The
@@ -187,9 +188,7 @@ class AcquisitionWindow:
     """The link samples with |t| <= window_half.
 
     Holds the per-sample system transmittance ``eta``, the noise-click
-    probability ``p_noise`` and the sample step ``dt``.  Click and error
-    sums are cached per intensity, so every parameter vector scored on
-    the window reuses them.
+    probability ``p_noise`` and the sample step ``dt``.
     """
 
     def __init__(self, link: Sequence[LinkSample], window_half: float) -> None:
@@ -210,20 +209,14 @@ class AcquisitionWindow:
         self.eta = eta[keep]
         self.p_noise = 1.0 - np.exp(-n_b[keep])
         self.dt = dt
-        self._sums: dict[tuple[float, float], tuple[float, float]] = {}
 
-    def sums(self, mu: float, e_intrinsic: float) -> tuple[float, float]:
-        """Window sums of the click and error probabilities at intensity mu."""
-        key = (mu, e_intrinsic)
-        cached = self._sums.get(key)
-        if cached is None:
-            no_signal = np.exp(-self.eta * mu)
-            signal = 1.0 - no_signal
-            click = 1.0 - (1.0 - 2.0 * self.p_noise) * no_signal
-            err = signal * e_intrinsic + no_signal * self.p_noise
-            cached = self._sums[key] = (float(np.add.reduce(click)),
-                                        float(np.add.reduce(err)))
-        return cached
+    def sums(self, mu: np.ndarray, e_intrinsic: float) -> tuple[np.ndarray, np.ndarray]:
+        """Window sums of the click and error probabilities at each intensity
+        in ``mu``, each bit-equal to the 1-D sum over that intensity's row."""
+        no_signal = np.exp(-np.multiply.outer(mu, self.eta))
+        click = 1.0 - (1.0 - 2.0 * self.p_noise) * no_signal
+        err = (1.0 - no_signal) * e_intrinsic + no_signal * self.p_noise
+        return np.add.reduce(click, axis=-1), np.add.reduce(err, axis=-1)
 
 
 def _tallies(params: ProtocolParams, window: AcquisitionWindow,
@@ -233,12 +226,13 @@ def _tallies(params: ProtocolParams, window: AcquisitionWindow,
     # weight[b][k]: pulses sifted into basis b at intensity k per sample.
     weight = [[pulses_per_sample * basis_prob[b] * p_k for p_k in params.probabilities]
               for b in (BASIS_X, BASIS_Z)]
-    sums = [window.sums(mu, security.e_intrinsic) for mu in params.intensities]
+    sums = window.sums(params.intensities, security.e_intrinsic)
+    click, err = (a.tolist() for a in sums)
     n_samples = len(window.eta)
     return TallyCounts(
         sent=np.array([[w * n_samples for w in row] for row in weight]),
-        detected=np.array([[w * c for w, (c, _) in zip(row, sums)] for row in weight]),
-        errored=np.array([[w * e for w, (_, e) in zip(row, sums)] for row in weight]))
+        detected=np.array([[w * c for w, c in zip(row, click)] for row in weight]),
+        errored=np.array([[w * e for w, e in zip(row, err)] for row in weight]))
 
 
 def simulate_tallies(params: ProtocolParams, link: Sequence[LinkSample],
@@ -398,12 +392,6 @@ def _phase_error_rows(s_z1: np.ndarray, v_z1: np.ndarray, s_x1: np.ndarray,
     return np.where(phi < 0.5, phi, 0.5)
 
 
-def _per_value(fn, values: np.ndarray) -> np.ndarray:
-    """``fn`` applied once per distinct entry of ``values``, broadcast back."""
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return np.array([fn(v) for v in distinct.tolist()])[inverse]
-
-
 def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
               security: SecurityParams, mu3: float = 0.0,
               source_rate: float = 2e8) -> np.ndarray:
@@ -425,73 +413,60 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     if not valid.any():
         return bits
     mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))
-    n = len(mu1)
+    # Arrays below are indexed [intensity, row] or [basis, intensity, row].
+    mu = np.stack([mu1, mu2, np.full(len(mu1), mu3)])
+    prob = np.stack([p1, p2, p3])
 
-    def intensity_terms(mu: float) -> tuple[float, ...]:
-        return window.sums(mu, security.e_intrinsic) + (
-            math.exp(mu), math.exp(-mu), mu**2)
-
-    terms = _per_value(intensity_terms, np.concatenate([mu1, mu2, [mu3]]))
-    mu = (mu1, mu2, mu3)
-    prob = (p1, p2, p3)
-    # Each name below is a 3-tuple over the intensities (mu1, mu2, mu3).
-    click, err, exp_mu, exp_neg, mu_sq = zip(
-        terms[:n].T, terms[n:2 * n].T, terms[2 * n])
-    basis_prob = _per_value(lambda x: (x**2, (1.0 - x) ** 2), px).T
+    # Per-intensity terms, computed once per distinct intensity.
+    distinct, inverse = np.unique(mu, return_inverse=True)
+    scalar_terms = [(math.exp(v), math.exp(-v), v**2) for v in distinct.tolist()]
+    click, err, exp_mu, exp_neg, mu_sq = np.vstack(
+        [*window.sums(distinct, security.e_intrinsic), np.array(scalar_terms).T]
+    )[:, inverse.reshape(mu.shape)]
+    distinct, inverse = np.unique(px, return_inverse=True)
+    px_terms = [(x**2, (1.0 - x) ** 2) for x in distinct.tolist()]
+    basis_prob = np.array(px_terms).T[:, inverse]
 
     # Tallies, as _tallies builds them.
-    pulses_per_sample = source_rate * window.dt
-    sent, detected, errored = [], [], []
-    for b in (BASIS_X, BASIS_Z):
-        weight = [pulses_per_sample * basis_prob[b] * prob[k] for k in range(3)]
-        sent.append([w * len(window.eta) for w in weight])
-        detected.append([w * c for w, c in zip(weight, click)])
-        errored.append([w * e for w, e in zip(weight, err)])
-    sent, detected, errored = (np.array(a) for a in (sent, detected, errored))
+    weight = source_rate * window.dt * basis_prob[:, None, :] * prob
+    sent, detected, errored = weight * len(window.eta), weight * click, weight * err
     if (errored < -1e-9).any() or (errored > detected + 1e-9).any() \
             or (detected > sent + 1e-9).any():
         raise ValueError("tallies must satisfy 0 <= errored <= detected <= sent")
 
-    # Decoy bounds per basis, as decoy_bounds computes them.
+    # Both bases' decoy bounds, as decoy_bounds computes them.
     log_eps = math.log(1.0 / (security.eps_sec / 21.0))
-    tau0 = tau1 = 0.0
-    for k in range(3):
-        tau0 += prob[k] * exp_neg[k]
-        tau1 += prob[k] * exp_neg[k] * mu[k]
+    tau0, tau1 = prob * exp_neg, prob * exp_neg * mu
+    tau0, tau1 = tau0[0] + tau0[1] + tau0[2], tau1[0] + tau1[1] + tau1[2]
     mu23 = mu2 - mu3
     denom = mu1 * mu23 - mu_sq[1] + mu_sq[2]
-    bounds = []
     # Like the scalar floats, overflow to inf and NaN pass silently.
     with np.errstate(all="ignore"):
-        scale = [exp_mu[k] / prob[k] for k in range(3)]
-        for b in (BASIS_X, BASIS_Z):
-            n_cells, m_cells = detected[b], errored[b]
-            n_tot = n_cells[0] + n_cells[1] + n_cells[2]
-            m_tot = m_cells[0] + m_cells[1] + m_cells[2]
-            if ((n_tot > 0.0) & ((tau0 == 0.0) | (mu_sq[0] == 0.0)
-                                 | (denom == 0.0))).any():
-                raise ZeroDivisionError("float division by zero")
-            delta_n = np.sqrt(n_tot / 2.0 * log_eps)
-            delta_m = np.where(m_tot > 0, np.sqrt(m_tot / 2.0 * log_eps), 0.0)
-            n_plus = [scale[k] * (n_cells[k] + delta_n) for k in range(3)]
-            n_minus = [scale[k] * (n_cells[k] - delta_n) for k in range(3)]
-            m_plus = scale[1] * (m_cells[1] + delta_m)
-            m_minus = scale[2] * (m_cells[2] - delta_m)
-            s0 = tau0 * (mu2 * n_minus[2] - mu3 * n_plus[1]) / mu23
-            s0 = np.where(s0 > 0.0, s0, 0.0)
-            s1 = (tau1 * mu1
-                  * (n_minus[1] - n_plus[2]
-                     - (mu_sq[1] - mu_sq[2]) / mu_sq[0] * (n_plus[0] - s0 / tau0))
-                  / denom)
-            v1 = tau1 * (m_plus - m_minus) / mu23
-            v1 = np.where(v1 > 0.0, v1, 0.0)
-            bounds.append((n_tot, m_tot, s0, s1, v1))
-    (n_x, m_x, s0_x, s1_x, _), (n_z, _, _, s1_z, v1_z) = bounds
+        scale = exp_mu / prob
+        n_tot = detected[:, 0] + detected[:, 1] + detected[:, 2]
+        m_tot = errored[:, 0] + errored[:, 1] + errored[:, 2]
+        if ((n_tot > 0.0) & ((tau0 == 0.0) | (mu_sq[0] == 0.0) | (denom == 0.0))).any():
+            raise ZeroDivisionError("float division by zero")
+        delta_n = np.sqrt(n_tot / 2.0 * log_eps)[:, None]
+        delta_m = np.where(m_tot > 0, np.sqrt(m_tot / 2.0 * log_eps), 0.0)
+        n_plus = scale * (detected + delta_n)
+        n_minus = scale * (detected - delta_n)
+        m_plus = scale[1] * (errored[:, 1] + delta_m)
+        m_minus = scale[2] * (errored[:, 2] - delta_m)
+        s0 = tau0 * (mu2 * n_minus[:, 2] - mu3 * n_plus[:, 1]) / mu23
+        s0 = np.where(s0 > 0.0, s0, 0.0)
+        s1 = (tau1 * mu1
+              * (n_minus[:, 1] - n_plus[:, 2]
+                 - (mu_sq[1] - mu_sq[2]) / mu_sq[0] * (n_plus[:, 0] - s0 / tau0))
+              / denom)
+        v1 = tau1 * (m_plus - m_minus) / mu23
+        v1 = np.where(v1 > 0.0, v1, 0.0)
 
     # Key length over the feasible rows.
-    feasible = (n_x > 0.0) & (n_z > 0.0) & (s1_x > 0.0) & (s1_z > 0.0)
+    feasible = ((n_tot > 0.0) & (s1 > 0.0)).all(axis=0)
     n_x, m_x, s0_x, s1_x, s1_z, v1_z = (
-        a[feasible] for a in (n_x, m_x, s0_x, s1_x, s1_z, v1_z))
+        a[feasible] for a in (n_tot[BASIS_X], m_tot[BASIS_X], s0[BASIS_X],
+                              s1[BASIS_X], s1[BASIS_Z], v1[BASIS_Z]))
     phi = _phase_error_rows(s1_z, np.minimum(v1_z, s1_z), s1_x, security.eps_sec)
     length = (s0_x + s1_x * (1.0 - _entropy_rows(phi))
               - security.f_ec * n_x * _entropy_rows(m_x / n_x)
@@ -502,7 +477,7 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     key = np.maximum(0.0, np.minimum(np.floor(length), np.floor(n_x)))
     if np.any(key >= 2.0**63):
         raise ArithmeticError("secret-key length exceeds the int64 range")
-    scored = np.zeros(n, dtype=np.int64)
+    scored = np.zeros(len(mu1), dtype=np.int64)
     scored[feasible] = key
     bits[valid] = scored
     return bits
@@ -559,14 +534,15 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     per-axis step, initially half the grid spacing.  At every level, the
     3^5 stencil of each incumbent (every axis at -step, 0 and +step,
     clipped to the box) is scored for all incumbents in one kernel call.
-    An incumbent moves to its stencil's best point if that point is
-    strictly better; otherwise its step halves.  After a fixed number of
-    levels the best incumbent wins, so the result never falls below the
-    best grid value.  Points are ordered by higher key length, then lower
-    mu1, then lexicographic parameter order, which keeps the outcome
-    independent of evaluation order.  If no grid point yields key, the
-    best grid point is reported, or the box centre when no grid point is
-    a valid parameter set.
+    Points are ordered by higher key length, then lexicographic parameter
+    order (lower mu1 first), which keeps the outcome independent of
+    evaluation order.  An incumbent moves to its stencil's first point in
+    that order, which may be a lexicographically smaller point of equal
+    key length; its step halves only when that point is the incumbent
+    itself.  After a fixed number of levels the best incumbent wins, so
+    the result never falls below the best grid value.  If no grid point
+    yields key, the best grid point is reported, or the box centre when
+    no grid point is a valid parameter set.
 
     The search only ranks kernel scores; the returned result is one
     scalar :func:`skl` evaluation at the chosen vector.
@@ -592,9 +568,11 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
                              lower, upper)
             probe_scores = skl_batch(probes.reshape(-1, 5), *kernel_args).reshape(
                 len(best), -1)
-            # The stencil holds the incumbent itself, so its best point is
-            # the incumbent unless some point is strictly better.
-            pick = np.arange(len(best)), _ranked(probes, probe_scores)[:, 0]
+            # Each stencil is in lexicographic order (C order over per-axis
+            # values that never decrease), so the first maximum is the
+            # smallest best vector, as _ranked would pick it.  The stencil
+            # holds the incumbent itself, so the pick never scores lower.
+            pick = np.arange(len(best)), probe_scores.argmax(axis=1)
             step[(probes[pick] == best).all(axis=1)] /= 2.0
             best, best_scores = probes[pick], probe_scores[pick]
         best = best[_ranked(best, best_scores)]

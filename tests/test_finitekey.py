@@ -355,6 +355,43 @@ def uniform_links(draw):
     return link, fraction * (half + 0.5) * step
 
 
+@st.composite
+def sum_windows(draw):
+    """A window of 1 to 300 samples, cut from a 1 s link whose two end
+    samples fall outside it."""
+    kept = draw(st.integers(min_value=1, max_value=300))
+    unit = st.one_of(st.sampled_from([0.0, 1e-6, 0.5, 1.0]),
+                     st.floats(min_value=0.0, max_value=1.0))
+    eta = draw(hnp.arrays(float, kept + 2, elements=unit))
+    n_b = draw(hnp.arrays(float, kept + 2, elements=unit))
+    link = [LinkSample(i - (kept + 1) / 2, e, b)
+            for i, (e, b) in enumerate(zip(eta.tolist(), n_b.tolist()))]
+    window = AcquisitionWindow(link, (kept - 1) / 2 + 0.25)
+    assert len(window.eta) == kept
+    return window
+
+
+class TestWindowSums:
+    @given(sum_windows(),
+           st.lists(st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.2, 5.0]),
+                              st.floats(min_value=0.0, max_value=50.0)),
+                    min_size=1, max_size=8),
+           st.sampled_from([0.0, 0.01, 0.3]))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_rows_equal_the_per_intensity_sums(self, window, mu, e_intrinsic):
+        # The kernel's bits rest on a 2-D exp and row reduction giving the
+        # same doubles as one 1-D expression per intensity.
+        expected = []
+        for m in mu:
+            no_signal = np.exp(-window.eta * m)
+            signal = 1.0 - no_signal
+            click = 1.0 - (1.0 - 2.0 * window.p_noise) * no_signal
+            err = signal * e_intrinsic + no_signal * window.p_noise
+            expected.append((float(np.add.reduce(click)), float(np.add.reduce(err))))
+        sums = np.stack(window.sums(np.array(mu), e_intrinsic), axis=-1)
+        assert sums.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
+
+
 class TestSklBatch:
     @given(st.lists(_vector, min_size=1, max_size=30), uniform_links(),
            st.sampled_from([0.0, 0.02]),
@@ -423,19 +460,25 @@ SEARCH_CASES = {
 
 @pytest.fixture(params=sorted(SEARCH_CASES))
 def searched(request, monkeypatch):
-    """One optimize_params run, with the scalar skl calls it made counted."""
+    """One optimize_params run, with its scalar skl and lexsort calls counted."""
     link, window_half, security, box = SEARCH_CASES[request.param]()
-    calls = []
+    calls, sorts = [], []
+    lexsort = np.lexsort
 
     def counted_skl(*args):
         calls.append(args)
         return skl(*args)
 
+    def counted_lexsort(*args, **kwargs):
+        sorts.append(args)
+        return lexsort(*args, **kwargs)
+
     monkeypatch.setattr(finitekey, "skl", counted_skl)
+    monkeypatch.setattr(np, "lexsort", counted_lexsort)
     params, result = optimize_params(link, window_half, security, box)
     return SimpleNamespace(link=link, window_half=window_half, security=security,
                            box=box, params=params, result=result,
-                           skl_calls=len(calls))
+                           skl_calls=len(calls), lexsort_calls=len(sorts))
 
 
 # (k, m, 5) points from three values and (k, m) small-integer scores, so
@@ -460,6 +503,42 @@ class TestRanked:
                                    for p, s in zip(points, scores)]
 
 
+@st.composite
+def clipped_stencils(draw):
+    """Incumbents on or near the default box's edges with their clipped 3^5
+    stencils, scored from one random table of distinct vectors, so that
+    clipping merges values and duplicate vectors score equally, as they
+    do in the kernel."""
+    lower, upper = np.array(BoundsBox().as_list()).T
+    width = upper - lower
+    k = draw(st.integers(min_value=1, max_value=3))
+    at = st.sampled_from([0.0, 1e-12, 1 / 16, 0.5, 15 / 16, 1.0 - 1e-12, 1.0])
+    reach = st.sampled_from([2.0, 1.0 / 8, 1.0 / 32, 2.0**-14, 1e-13])
+    best = np.clip(lower + width * np.array(
+        draw(st.lists(st.tuples(*[at] * 5), min_size=k, max_size=k))), lower, upper)
+    step = width * np.array(draw(st.lists(st.tuples(*[reach] * 5),
+                                          min_size=k, max_size=k)))
+    probes = np.clip(best[:, None, :] + step[:, None, :] * finitekey._STENCIL,
+                     lower, upper)
+    distinct, inverse = np.unique(probes.reshape(-1, 5), axis=0, return_inverse=True)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    table = rng.integers(-1, 3, size=len(distinct))
+    return probes, table[inverse.reshape(-1)].reshape(k, -1)
+
+
+class TestStencilPick:
+    @given(clipped_stencils())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_argmax_picks_the_ranked_vector(self, case):
+        # A stencil is the C-order product of per-axis values that never
+        # decrease, so its first maximum is the smallest best vector.
+        probes, scores = case
+        rows = np.arange(len(probes))
+        argmax = probes[rows, scores.argmax(axis=1)]
+        ranked = probes[rows, finitekey._ranked(probes, scores)[:, 0]]
+        assert argmax.tolist() == ranked.tolist()
+
+
 class TestStencilSearch:
     def test_chosen_vector_inside_box(self, searched):
         p = searched.params
@@ -474,3 +553,7 @@ class TestStencilSearch:
 
     def test_one_scalar_skl_call_per_window(self, searched):
         assert searched.skl_calls == 1
+
+    def test_at_most_two_lexsort_calls_per_window(self, searched):
+        # The seeding grid and the final best-of-3; stencil levels use argmax.
+        assert searched.lexsort_calls <= 2
