@@ -8,12 +8,13 @@ checks the peak slew rate against the analytic overhead-pass value.
 import math
 
 from skyqlink.constants import EARTH_RADIUS, GM_EARTH
-from skyqlink.geometry import PlatformKind, PlatformSpec, propagate_pass
+from skyqlink.geometry import propagate_pass
 
-leo = PlatformSpec(535e3, PlatformKind.LEO_ORBITER)
-haps = PlatformSpec(20e3, PlatformKind.QUASI_STATIC)
+leo_altitude_m = 535e3
+haps_altitude_m = 20e3
 
-pass_geometry = propagate_pass(leo, haps, max_elevation_rad=math.pi / 2,
+pass_geometry = propagate_pass(leo_altitude_m, haps_altitude_m,
+                               max_elevation_rad=math.pi / 2,
                                sample_interval_s=1.0,
                                horizon_elevation_rad=math.radians(10.0))
 

@@ -164,14 +164,11 @@ class DecoyBounds(NamedTuple):
 
 @dataclass(frozen=True)
 class FiniteKeyResult:
-    """Secret-key length and the bounds it was built from."""
+    """Secret-key length with its key-basis QBER and phase-error bound."""
 
     skl: int
     qber_key_basis: float
     phase_error_bound: float
-    s0_lower: float
-    s1_lower: float
-    v1_upper: float
     feasible: bool
 
 
@@ -354,8 +351,7 @@ def skl(tallies: TallyCounts, params: ProtocolParams,
     bx = decoy_bounds(tallies, params, security, BASIS_X)
     bz = decoy_bounds(tallies, params, security, BASIS_Z)
     if n_x <= 0 or not (bx.feasible and bz.feasible):
-        return FiniteKeyResult(0, qber, 0.5, max(0.0, bx.s0), max(0.0, bx.s1),
-                               bz.v1, False)
+        return FiniteKeyResult(0, qber, 0.5, False)
 
     phi = phase_error(bz.s1, min(bz.v1, bz.s1), bx.s1, security)
     leak_ec = security.f_ec * n_x * binary_entropy(qber)
@@ -363,7 +359,7 @@ def skl(tallies: TallyCounts, params: ProtocolParams,
               - 6.0 * math.log2(21.0 / security.eps_sec)
               - math.log2(2.0 / security.eps_cor))
     bits = max(0, min(int(math.floor(length)), int(math.floor(n_x))))
-    return FiniteKeyResult(bits, qber, phi, bx.s0, bx.s1, bz.v1, True)
+    return FiniteKeyResult(bits, qber, phi, True)
 
 
 def _entropy_rows(x: np.ndarray) -> np.ndarray:
@@ -493,6 +489,11 @@ class BoundsBox:
     p1: tuple[float, float] = (0.3, 0.8)
     p2: tuple[float, float] = (0.1, 0.5)
 
+    def __post_init__(self) -> None:
+        for name, (lo, hi) in zip(("mu1", "mu2", "px", "p1", "p2"), self.as_list()):
+            if not lo < hi:
+                raise ValueError(f"{name} range must increase, got ({lo}, {hi})")
+
     def as_list(self) -> list[tuple[float, float]]:
         return [self.mu1, self.mu2, self.px, self.p1, self.p2]
 
@@ -515,12 +516,6 @@ _STENCIL = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 5, indexing="ij"),
                     axis=-1).reshape(-1, 5)
 
 
-def _ranked(vectors: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Indices along the second-to-last axis of ``vectors`` (the last of
-    ``scores``) ordered by (-score, vector), columns breaking ties in order."""
-    return np.lexsort(tuple(np.moveaxis(vectors, -1, 0)[::-1]) + (-scores,))
-
-
 def optimize_params(link: Sequence[LinkSample], window_half: float,
                     security: SecurityParams,
                     bounds_box: BoundsBox | None = None,
@@ -536,13 +531,14 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     clipped to the box) is scored for all incumbents in one kernel call.
     Points are ordered by higher key length, then lexicographic parameter
     order (lower mu1 first), which keeps the outcome independent of
-    evaluation order.  An incumbent moves to its stencil's first point in
-    that order, which may be a lexicographically smaller point of equal
-    key length; its step halves only when that point is the incumbent
-    itself.  After a fixed number of levels the best incumbent wins, so
-    the result never falls below the best grid value.  If no grid point
-    yields key, the best grid point is reported, or the box centre when
-    no grid point is a valid parameter set.
+    evaluation order; the grid and every stencil are built in vector
+    order, so no vector is sorted.  An incumbent moves to its stencil's
+    first point in that order, which may be a lexicographically smaller
+    point of equal key length; its step halves only when that point is
+    the incumbent itself.  After a fixed number of levels the best
+    incumbent wins, so the result never falls below the best grid value.
+    If no grid point yields key, the best grid point is reported, or the
+    box centre when no grid point is a valid parameter set.
 
     The search only ranks kernel scores; the returned result is one
     scalar :func:`skl` evaluation at the chosen vector.
@@ -553,12 +549,14 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     axes = [np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)]
     grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
     grid_scores = skl_batch(grid, *kernel_args)
-    ranked = _ranked(grid, grid_scores)[:_N_STARTS]
+    # The grid is in vector order, so a stable sort ranks by (-score, vector).
+    ranked = np.argsort(-grid_scores, kind="stable")[:_N_STARTS]
     best, best_scores = grid[ranked], grid_scores[ranked]
+    vector = best[0]
 
     if best_scores[0] < 0:
-        best = 0.5 * (lower + upper)[None, :]
-        if skl_batch(best, *kernel_args)[0] < 0:
+        vector = 0.5 * (lower + upper)
+        if skl_batch(vector[None, :], *kernel_args)[0] < 0:
             raise ValueError(
                 "bounds box contains no valid protocol-parameter combination")
     elif best_scores[0] > 0:
@@ -570,12 +568,12 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
                 len(best), -1)
             # Each stencil is in lexicographic order (C order over per-axis
             # values that never decrease), so the first maximum is the
-            # smallest best vector, as _ranked would pick it.  The stencil
-            # holds the incumbent itself, so the pick never scores lower.
+            # smallest best vector.  The stencil holds the incumbent
+            # itself, so the pick never scores lower.
             pick = np.arange(len(best)), probe_scores.argmax(axis=1)
             step[(probes[pick] == best).all(axis=1)] /= 2.0
             best, best_scores = probes[pick], probe_scores[pick]
-        best = best[_ranked(best, best_scores)]
+        vector = min(zip((-best_scores).tolist(), best.tolist()))[1]
 
-    params = _params_from_vector(best[0], mu3, source_rate)
+    params = _params_from_vector(vector, mu3, source_rate)
     return params, skl(_tallies(params, window, security), params, security)

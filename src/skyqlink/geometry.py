@@ -1,9 +1,12 @@
 """Pass geometry between two platforms on a spherical, non-rotating Earth.
 
 Covers both an orbiting transmitter seen from a quasi-static station
-(LEO satellite over a ground station or HAPS) and short quasi-static
-links (HAPS to LAPS).  Earth rotation during a ~10 minute pass changes
-the range by well under 1% and is neglected.  A pass is a set of arrays
+(LEO satellite over a ground station or HAPS, :func:`propagate_pass`)
+and short links between two quasi-static platforms (HAPS to LAPS,
+:func:`static_pass`).  Each platform is given by its altitude in metres;
+the slow drift of HAPS and LAPS (10-30 m/s) is irrelevant to pass
+geometry.  Earth rotation during a ~10 minute pass changes the range by
+well under 1% and is neglected.  A pass is a set of arrays
 (time, elevation, slant range and slew) of at most ``MAX_PASS_SAMPLES``
 samples, which the channel takes whole and callers index directly.
 """
@@ -12,36 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .constants import EARTH_RADIUS, GM_EARTH
 
 MAX_PASS_SAMPLES = 10**6
-
-
-class PlatformKind(Enum):
-    """Orbit class of a platform: free-flying LEO orbiter or quasi-static."""
-
-    LEO_ORBITER = "leo_orbiter"
-    QUASI_STATIC = "quasi_static"
-
-
-@dataclass(frozen=True)
-class PlatformSpec:
-    """A communication platform at a fixed altitude above mean sea level.
-
-    HAPS, LAPS and ground stations are all QUASI_STATIC; their slow drift
-    (10-30 m/s) is irrelevant to pass geometry.
-    """
-
-    altitude_m: float
-    kind: PlatformKind = PlatformKind.QUASI_STATIC
-
-    def __post_init__(self) -> None:
-        if self.altitude_m < 0:
-            raise ValueError(f"altitude must be >= 0, got {self.altitude_m}")
 
 
 @dataclass(frozen=True)
@@ -152,7 +131,7 @@ def _half_count(half_span_s: float, sample_interval_s: float) -> int:
     return int(math.floor(half))
 
 
-def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
+def propagate_pass(orbit_altitude_m: float, station_altitude_m: float,
                    max_elevation_rad: float = math.pi / 2,
                    sample_interval_s: float = 1.0,
                    horizon_elevation_rad: float = math.radians(10.0)) -> PassGeometry:
@@ -172,17 +151,15 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
     Raises
     ------
     ValueError
-        If the orbiter/station kinds or altitudes are inconsistent, the
+        If the station altitude is negative or not below the orbit, the
         requested maximum elevation is not reachable (outside
         ``[horizon_elevation_rad, pi/2]``), the pass is too long, or the
         altitudes are too close for a positive floating-point range.
     """
-    if orbiter.kind is not PlatformKind.LEO_ORBITER:
-        raise ValueError("orbiter must be a LEO_ORBITER platform")
-    if station.kind is not PlatformKind.QUASI_STATIC:
-        raise ValueError("station must be a QUASI_STATIC platform")
-    if orbiter.altitude_m <= station.altitude_m:
-        raise ValueError("orbiter altitude must exceed station altitude")
+    if station_altitude_m < 0:
+        raise ValueError(f"station altitude must be >= 0, got {station_altitude_m}")
+    if orbit_altitude_m <= station_altitude_m:
+        raise ValueError("orbit altitude must exceed station altitude")
     if sample_interval_s <= 0:
         raise ValueError(f"sample interval must be > 0, got {sample_interval_s}")
     if not 0.0 <= horizon_elevation_rad < math.pi / 2:
@@ -192,8 +169,8 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
             f"max elevation {max_elevation_rad} not reachable: must lie in "
             f"[{horizon_elevation_rad}, {math.pi / 2}]")
 
-    r_sta = EARTH_RADIUS + station.altitude_m
-    r_orb = EARTH_RADIUS + orbiter.altitude_m
+    r_sta = EARTH_RADIUS + station_altitude_m
+    r_orb = EARTH_RADIUS + orbit_altitude_m
     omega = math.sqrt(GM_EARTH / r_orb**3)
 
     beta = _central_angle(max_elevation_rad, r_sta, r_orb)
@@ -227,23 +204,24 @@ def propagate_pass(orbiter: PlatformSpec, station: PlatformSpec,
     )
 
 
-def static_pass(high: PlatformSpec, low: PlatformSpec, zenith_rad: float,
+def static_pass(high_altitude_m: float, low_altitude_m: float, zenith_rad: float,
                 duration_s: float = 60.0,
                 sample_interval_s: float = 1.0) -> PassGeometry:
-    """Constant-geometry 'pass' between two quasi-static platforms.
+    """Constant-geometry 'pass' between two quasi-static platforms, the
+    higher one seen at ``zenith_rad`` from the lower.
 
     Produces the same sample layout as :func:`propagate_pass` so the
     channel and protocol layers can consume either; elevation, range and
     (zero) slew are constant over the window.
     """
-    if high.kind is not PlatformKind.QUASI_STATIC or low.kind is not PlatformKind.QUASI_STATIC:
-        raise ValueError("static_pass requires two QUASI_STATIC platforms")
+    if low_altitude_m < 0:
+        raise ValueError(f"low altitude must be >= 0, got {low_altitude_m}")
     if sample_interval_s <= 0:
         raise ValueError(f"sample interval must be > 0, got {sample_interval_s}")
     if duration_s <= 0:
         raise ValueError(f"duration must be > 0, got {duration_s}")
 
-    rng = short_range_path(zenith_rad, high.altitude_m, low.altitude_m)
+    rng = short_range_path(zenith_rad, high_altitude_m, low_altitude_m)
     n_half = max(1, _half_count(duration_s / 2.0, sample_interval_s))
     t = np.arange(-n_half, n_half + 1, dtype=float) * sample_interval_s
     return PassGeometry(

@@ -77,7 +77,7 @@ def _level_list(v: tuple[str, ...]) -> str | None:
         return f"unknown pointing level(s) {bad}; allowed: weak, moderate, strong"
     if not v:
         return "must list at least one pointing level"
-    return None
+    return None if len(set(v)) == len(v) else "must list each pointing level once"
 
 
 def _float_list_increasing(v: tuple[float, ...]) -> str | None:

@@ -30,8 +30,6 @@ from .entanglement import DownlinkArm, DualDownlink, fidelity_sweep
 from .finitekey import BoundsBox, SecurityParams, optimize_params
 from .geometry import (
     PassGeometry,
-    PlatformKind,
-    PlatformSpec,
     propagate_pass,
     short_range_path,
     static_pass,
@@ -81,16 +79,13 @@ class StudyReport:
 def build_pass(scenario: Scenario) -> PassGeometry:
     sec = scenario.values["pass"]
     if sec["geometry"] == "orbital":
-        orbiter = PlatformSpec(sec["tx_altitude_km"] * KM, PlatformKind.LEO_ORBITER)
-        station = PlatformSpec(sec["rx_altitude_km"] * KM, PlatformKind.QUASI_STATIC)
         return propagate_pass(
-            orbiter, station,
+            sec["tx_altitude_km"] * KM, sec["rx_altitude_km"] * KM,
             max_elevation_rad=deg2rad(sec["max_elevation_deg"]),
             sample_interval_s=sec["sample_interval_s"],
             horizon_elevation_rad=deg2rad(sec["horizon_elevation_deg"]))
-    high = PlatformSpec(sec["tx_altitude_km"] * KM, PlatformKind.QUASI_STATIC)
-    low = PlatformSpec(sec["rx_altitude_km"] * KM, PlatformKind.QUASI_STATIC)
-    return static_pass(high, low, deg2rad(sec["static_zenith_deg"]),
+    return static_pass(sec["tx_altitude_km"] * KM, sec["rx_altitude_km"] * KM,
+                       deg2rad(sec["static_zenith_deg"]),
                        duration_s=sec["static_duration_s"],
                        sample_interval_s=sec["sample_interval_s"])
 

@@ -19,7 +19,7 @@ from skyqlink.channel import (
     pointing_transmittance_mc,
     system_loss,
 )
-from skyqlink.geometry import PlatformKind, PlatformSpec, propagate_pass, static_pass
+from skyqlink.geometry import propagate_pass, static_pass
 
 
 def make_budget(**kw):
@@ -220,16 +220,14 @@ class TestBackgroundCounts:
 
 class TestLinkTimeseries:
     def test_static_pair_constant(self):
-        p = static_pass(PlatformSpec(20e3), PlatformSpec(1e3), math.radians(40.0))
+        p = static_pass(20e3, 1e3, math.radians(40.0))
         records = link_timeseries(p, make_budget(), NoiseEnvironment())
         etas = {r.eta_sys for r in records}
         assert len(records) == len(p)
         assert len(etas) == 1
 
     def test_peak_transmittance_at_culmination(self):
-        leo = PlatformSpec(535e3, PlatformKind.LEO_ORBITER)
-        haps = PlatformSpec(20e3)
-        p = propagate_pass(leo, haps)
+        p = propagate_pass(535e3, 20e3)
         records = link_timeseries(p, make_budget(pointing_sigma=3.3e-6),
                                   NoiseEnvironment())
         etas = np.array([r.eta_sys for r in records])
@@ -241,8 +239,7 @@ class TestLinkTimeseries:
         # LEO-to-HAPS link at culmination (515 km).
         budget = make_budget(pointing_sigma=3.3e-6, eta_tx=0.8, eta_rx=0.8,
                              eta_det=0.5, eta_atm=1.0)
-        leo = PlatformSpec(535e3, PlatformKind.LEO_ORBITER)
-        p = propagate_pass(leo, PlatformSpec(20e3))
+        p = propagate_pass(535e3, 20e3)
         records = link_timeseries(p, budget, NoiseEnvironment())
         got_db = -10.0 * math.log10(records[len(records) // 2].eta_sys)
 
@@ -278,8 +275,7 @@ class TestRangeArrays:
         np.testing.assert_allclose(eta, [math.erf(x) ** 2 for x in v], rtol=1e-12)
 
     def test_link_timeseries_matches_per_sample_loss(self):
-        p = propagate_pass(PlatformSpec(535e3, PlatformKind.LEO_ORBITER),
-                           PlatformSpec(20e3), sample_interval_s=7.0)
+        p = propagate_pass(535e3, 20e3, sample_interval_s=7.0)
         budget = make_budget(pointing_sigma=10e-6)
         records = link_timeseries(p, budget, NoiseEnvironment())
         assert [r.t_s for r in records] == p.t_s.tolist()

@@ -10,18 +10,17 @@ from hypothesis import strategies as st
 
 from skyqlink.constants import EARTH_RADIUS, GM_EARTH
 from skyqlink.geometry import (
-    PlatformKind,
-    PlatformSpec,
     propagate_pass,
     short_range_path,
     slant_range,
     static_pass,
 )
 
-LEO = PlatformSpec(535e3, PlatformKind.LEO_ORBITER)
-HAPS = PlatformSpec(20e3, PlatformKind.QUASI_STATIC)
-LAPS = PlatformSpec(1e3, PlatformKind.QUASI_STATIC)
-GROUND = PlatformSpec(0.0, PlatformKind.QUASI_STATIC)
+# Platform altitudes in metres.
+LEO = 535e3
+HAPS = 20e3
+LAPS = 1e3
+GROUND = 0.0
 
 
 class TestSlantRange:
@@ -146,13 +145,17 @@ class TestPropagatePass:
         with pytest.raises(ValueError):
             propagate_pass(LEO, HAPS, max_elevation_rad=math.radians(95.0))
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            propagate_pass(HAPS, GROUND)
-        with pytest.raises(ValueError):
-            propagate_pass(LEO, PlatformSpec(400e3, PlatformKind.LEO_ORBITER))
-        with pytest.raises(ValueError):
-            propagate_pass(PlatformSpec(10e3, PlatformKind.LEO_ORBITER), HAPS)
+    def test_altitude_validation(self):
+        with pytest.raises(ValueError, match="orbit altitude must exceed"):
+            propagate_pass(HAPS, LEO)
+        with pytest.raises(ValueError, match="orbit altitude must exceed"):
+            propagate_pass(LEO, LEO)
+        with pytest.raises(ValueError, match="station altitude must be >= 0"):
+            propagate_pass(LEO, -1.0)
+        with pytest.raises(ValueError, match="low altitude must be >= 0"):
+            static_pass(HAPS, -1.0, math.radians(40.0))
+        with pytest.raises(ValueError, match="must exceed low altitude"):
+            static_pass(LAPS, HAPS, math.radians(40.0))
 
 
 class TestSlewRate:
@@ -167,7 +170,7 @@ class TestSlewRate:
         for station in (GROUND, HAPS):
             p = propagate_pass(LEO, station, sample_interval_s=0.5)
             v_orb = math.sqrt(GM_EARTH / (EARTH_RADIUS + 535e3))
-            expected = v_orb / (535e3 - station.altitude_m)
+            expected = v_orb / (535e3 - station)
             i0 = int(np.argmin(np.abs(p.t_s)))
             assert p.slew_rad_s[i0] == pytest.approx(expected, rel=5e-3)
 
@@ -202,7 +205,7 @@ class TestPassLimits:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="ranges must be positive"):
-                propagate_pass(PlatformSpec(1e-9, PlatformKind.LEO_ORBITER), GROUND)
+                propagate_pass(1e-9, GROUND)
 
     def test_orbital_sample_cap(self):
         # An interval just short enough to put the pass over the cap.

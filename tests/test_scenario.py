@@ -75,6 +75,10 @@ class TestDiagnostics:
         with pytest.raises(ScenarioError, match="pointing level"):
             parse_scenario_text("[link]\npointing_levels = weak, wobbly\n")
 
+    def test_repeated_pointing_level(self):
+        with pytest.raises(ScenarioError, match="each pointing level once"):
+            parse_scenario_text("[link]\npointing_levels = weak, moderate, weak\n")
+
     def test_missing_file(self):
         with pytest.raises(ScenarioError, match="cannot read"):
             parse_scenario("/nonexistent/path.scn")

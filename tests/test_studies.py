@@ -322,6 +322,15 @@ class TestCli:
         assert "configuration error" in proc.stderr
         assert "line 2" in proc.stderr
 
+    def test_repeated_pointing_level_exit_2(self, tmp_path):
+        # A repeated level would write every row, and draw every series, twice.
+        bad = tmp_path / "bad.scn"
+        bad.write_text(set_key(FIG3_TEXT, "link", "pointing_levels", "weak, weak"))
+        proc = run_cli("fidelity", "--scenario", str(bad))
+        assert proc.returncode == 2
+        assert "pointing_levels must list each pointing level once" in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("study, text", [
         ("pass", "[pass]\ntx_altitude_km = inf\n"),
         ("turbulence", "[turbulence]\nzenith_points = inf\n"),
