@@ -16,19 +16,18 @@ reproducible and matches the smooth key-length curves this model is
 meant to generate; no per-pulse sampling is performed.
 
 :func:`skl_batch` scores an ``(N, 5)`` batch of ``(mu1, mu2, px, p1,
-p2)`` vectors over one :class:`AcquisitionWindow` in array form.  Up to
-the decoy bounds it performs the scalar ``skl(simulate_tallies(...))``
-path's floating-point operations in the same order: one
-:meth:`AcquisitionWindow.sums` call, the scalar path's own, takes the
-window sums of all distinct intensities; the exponentials and squares
-of the parameters go through the same Python calls once per distinct
-value; both bases' bounds are one pass over ``(basis, intensity, row)``
-arrays.  The logarithmic tail (phase-error bound and binary entropies)
-is evaluated as numpy expressions over the feasible rows.  numpy's SIMD
-``log2`` may differ from libm's in the last ulp, so the floats behind a
-row can differ from the scalar path's while its integer key length
-agrees.  Vectors that :class:`ProtocolParams` would reject score -1
-instead of raising; inconsistent tallies still raise.
+p2)`` vectors over one :class:`AcquisitionWindow`; its core takes five
+per-axis value tables and a ``(5, N)`` index into them, which the search
+builds without sorting.  Up to the decoy bounds it repeats the scalar
+``skl(simulate_tallies(...))`` path's floating-point operations in order:
+the window sums (one :meth:`AcquisitionWindow.sums` call, the scalar
+path's own), exponentials and squares of the parameters are computed
+once per table entry, with the same calls; both bases' bounds are one
+pass over ``(basis, intensity, row)`` arrays.  The logarithmic tail is
+numpy expressions over the feasible rows; numpy's SIMD ``log2`` may
+differ from libm's in the last ulp, which can move a row's floats but
+not its integer key length.  Vectors that :class:`ProtocolParams` would
+reject score -1 instead of raising; inconsistent tallies still raise.
 
 :func:`optimize_params` runs entirely on the kernel: a seeding grid in
 one call, then a fixed number of batched stencil-refinement levels.  The
@@ -397,10 +396,18 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     :class:`ProtocolParams` rejects the vector (p3 = 1 - p1 - p2).
     """
     vectors = np.asarray(vectors, dtype=float).reshape(-1, 5)
-    bits = np.full(len(vectors), -1, dtype=np.int64)
+    tables, index = zip(*(np.unique(column, return_inverse=True) for column in vectors.T))
+    return _skl_rows(tables, np.stack(index), window, security, mu3, source_rate)
+
+
+def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray, window: AcquisitionWindow,
+              security: SecurityParams, mu3: float, source_rate: float) -> np.ndarray:
+    """:func:`skl_batch` of the rows whose value on axis ``a`` is
+    ``tables[a][index[a]]``, for five 1-D value tables and a ``(5, N)`` index."""
+    bits = np.full(index.shape[1], -1, dtype=np.int64)
     if source_rate <= 0:
         return bits
-    mu1, mu2, px, p1, p2 = vectors.T
+    mu1, mu2, px, p1, p2 = (table[rows] for table, rows in zip(tables, index))
     p3 = 1.0 - p1 - p2
     valid = ((mu1 > mu2) & (mu2 > mu3) & (mu3 >= 0.0) & (mu1 > mu2 + mu3)
              & (p1 > 0.0) & (p1 < 1.0) & (p2 > 0.0) & (p2 < 1.0)
@@ -409,25 +416,27 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     if not valid.any():
         return bits
     mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))
-    # Arrays below are indexed [intensity, row] or [basis, intensity, row].
-    mu = np.stack([mu1, mu2, np.full(len(mu1), mu3)])
-    prob = np.stack([p1, p2, p3])
+    mu1_rows, mu2_rows, px_rows = index[:3, valid]
 
-    # Per-intensity terms, computed once per distinct intensity.
-    distinct, inverse = np.unique(mu, return_inverse=True)
-    scalar_terms = [(math.exp(v), math.exp(-v), v**2) for v in distinct.tolist()]
-    click, err, exp_mu, exp_neg, mu_sq = np.vstack(
-        [*window.sums(distinct, security.e_intrinsic), np.array(scalar_terms).T]
-    )[:, inverse.reshape(mu.shape)]
-    distinct, inverse = np.unique(px, return_inverse=True)
-    px_terms = [(x**2, (1.0 - x) ** 2) for x in distinct.tolist()]
-    basis_prob = np.array(px_terms).T[:, inverse]
+    # Per-intensity and px terms, computed once per table entry.  An entry
+    # that no valid row reads is taken as 0, since its terms may overflow.
+    # Arrays below are indexed [intensity, row] or [basis, intensity, row].
+    mu_table = np.concatenate([[mu3], tables[0], tables[1]])
+    mu_rows = np.array([1 + mu1_rows, 1 + len(tables[0]) + mu2_rows, np.zeros_like(mu1_rows)])
+    mu_table = np.where(np.bincount(mu_rows.ravel(), minlength=len(mu_table)), mu_table, 0.0)
+    scalar_terms = [(math.exp(v), math.exp(-v), v**2) for v in mu_table.tolist()]
+    mu, click, err, exp_mu, exp_neg, mu_sq = (terms[mu_rows] for terms in np.array(
+        [mu_table, *window.sums(mu_table, security.e_intrinsic), *zip(*scalar_terms)]))
+    prob = np.array([p1, p2, p3])
+    px_table = np.where(np.bincount(px_rows, minlength=len(tables[2])), tables[2], 0.0)
+    px_terms = [(x**2, (1.0 - x) ** 2) for x in px_table.tolist()]
+    basis_prob = np.array(px_terms).T[:, px_rows]
 
     # Tallies, as _tallies builds them.
     weight = source_rate * window.dt * basis_prob[:, None, :] * prob
-    sent, detected, errored = weight * len(window.eta), weight * click, weight * err
+    detected, errored = weight * click, weight * err
     if (errored < -1e-9).any() or (errored > detected + 1e-9).any() \
-            or (detected > sent + 1e-9).any():
+            or (detected > weight * len(window.eta) + 1e-9).any():
         raise ValueError("tallies must satisfy 0 <= errored <= detected <= sent")
 
     # Both bases' decoy bounds, as decoy_bounds computes them.
@@ -458,6 +467,7 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
         v1 = tau1 * (m_plus - m_minus) / mu23
         v1 = np.where(v1 > 0.0, v1, 0.0)
 
+    del weight, detected, errored, n_plus, n_minus  # else the tail sets the memory peak
     # Key length over the feasible rows.
     feasible = ((n_tot > 0.0) & (s1 > 0.0)).all(axis=0)
     n_x, m_x, s0_x, s1_x, s1_z, v1_z = (
@@ -468,10 +478,10 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
               - security.f_ec * n_x * _entropy_rows(m_x / n_x)
               - 6.0 * math.log2(21.0 / security.eps_sec)
               - math.log2(2.0 / security.eps_cor))
-    if not np.all(np.isfinite(length)):
+    if not np.isfinite(length).all():
         raise ArithmeticError("secret-key length is not finite")
     key = np.maximum(0.0, np.minimum(np.floor(length), np.floor(n_x)))
-    if np.any(key >= 2.0**63):
+    if (key >= 2.0**63).any():
         raise ArithmeticError("secret-key length exceeds the int64 range")
     scored = np.zeros(len(mu1), dtype=np.int64)
     scored[feasible] = key
@@ -498,13 +508,6 @@ class BoundsBox:
         return [self.mu1, self.mu2, self.px, self.p1, self.p2]
 
 
-def _params_from_vector(vec: Sequence[float], mu3: float,
-                        source_rate: float) -> ProtocolParams:
-    mu1, mu2, px, p1, p2 = (float(v) for v in vec)
-    return ProtocolParams(mu1=mu1, mu2=mu2, mu3=mu3, p1=p1, p2=p2,
-                          p3=1.0 - p1 - p2, px=px, source_rate=source_rate)
-
-
 # Seeding grid points per axis, and the best grid points refined.
 _GRID_POINTS = 5
 _N_STARTS = 3
@@ -512,8 +515,43 @@ _N_STARTS = 3
 # windows, 14 levels keep the total key within 0.001% of a bounded
 # Nelder-Mead search; 8 levels run a third faster but lose 0.025%.
 _STENCIL_LEVELS = 14
-_STENCIL = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 5, indexing="ij"),
-                    axis=-1).reshape(-1, 5)
+# Axis rows of a (5, n) value table, stencil offsets, and each point of the
+# incumbents' 3^5 stencils (C order) as columns of 3 values per incumbent.
+_AXES = np.arange(5)[:, None]
+_OFFSETS = np.array([-1.0, 0.0, 1.0])
+_PROBES = (np.array(np.meshgrid(*[range(3)] * 5, indexing="ij")).reshape(5, 1, -1)
+           + 3 * np.arange(_N_STARTS)[:, None]).reshape(5, -1)
+
+
+def _stencil_level(best: np.ndarray, step: np.ndarray, lower: np.ndarray,
+                   upper: np.ndarray, kernel_args: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """Each incumbent's (``best`` column's) first best stencil point and its
+    score; ``step`` halves in place where that point is the incumbent.
+
+    A stencil, the C-order product of per-axis values that never decrease,
+    is in vector order.  A point that repeats an earlier one (an axis value
+    equal to the previous offset's, or an earlier incumbent's vector and
+    step) reads -2 unscored, so the first maximum is the smallest best
+    vector, and never below the incumbent.
+    """
+    values = np.clip(best[:, :, None] + step[:, :, None] * _OFFSETS,
+                     lower[:, None, None], upper[:, None, None])
+    fresh = np.ones(values.shape, dtype=bool)
+    fresh[:, :, 1:] = values[:, :, 1:] != values[:, :, :-1]
+    keep = fresh[0]
+    for axis_fresh in fresh[1:]:
+        keep = (keep[:, :, None] & axis_fresh[:, None, :]).reshape(_N_STARTS, -1)
+    incumbents = list(zip(best.T.tolist(), step.T.tolist()))
+    first = [incumbents.index(c) for c in incumbents]
+    keep[np.arange(_N_STARTS) != first] = False
+    tables, keep = values.reshape(5, -1), keep.ravel()
+    scores = np.full(keep.shape, -2, dtype=np.int64)
+    scores[keep] = _skl_rows(tables, _PROBES[:, keep], *kernel_args)
+    scores = scores.reshape(_N_STARTS, -1)[first]
+    pick = scores.argmax(axis=1)
+    picked = tables[_AXES, _PROBES[:, pick + 243 * np.arange(_N_STARTS)]]
+    step[:, (picked == best).all(axis=0)] /= 2.0
+    return picked, scores[np.arange(_N_STARTS), pick]
 
 
 def optimize_params(link: Sequence[LinkSample], window_half: float,
@@ -524,56 +562,40 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     """Maximise the window SKL over (mu1, mu2, px, p1, p2).
 
     A deterministic 5-point-per-axis seeding grid (3,125 points) is scored
-    in one :func:`skl_batch` call, and its 3 best points become the
-    incumbents of a batched stencil refinement.  Each incumbent carries a
-    per-axis step, initially half the grid spacing.  At every level, the
-    3^5 stencil of each incumbent (every axis at -step, 0 and +step,
-    clipped to the box) is scored for all incumbents in one kernel call.
-    Points are ordered by higher key length, then lexicographic parameter
-    order (lower mu1 first), which keeps the outcome independent of
-    evaluation order; the grid and every stencil are built in vector
-    order, so no vector is sorted.  An incumbent moves to its stencil's
-    first point in that order, which may be a lexicographically smaller
-    point of equal key length; its step halves only when that point is
-    the incumbent itself.  After a fixed number of levels the best
-    incumbent wins, so the result never falls below the best grid value.
-    If no grid point yields key, the best grid point is reported, or the
-    box centre when no grid point is a valid parameter set.
-
-    The search only ranks kernel scores; the returned result is one
-    scalar :func:`skl` evaluation at the chosen vector.
+    in one kernel call; its 3 best points are the incumbents of a batched
+    stencil refinement, each with a per-axis step of half the grid spacing.
+    Each level scores, in one kernel call, every distinct point of each
+    incumbent's 3^5 stencil (every axis at -step, 0 and +step, clipped to
+    the box).  Points rank by higher key length, then lexicographic
+    parameter order (lower mu1 first); the grid and every stencil are built
+    in that order, so nothing is sorted.  An incumbent moves to its
+    stencil's first point in that order; its step halves when that is the
+    incumbent itself.  After a fixed number of levels the best incumbent
+    wins, so the result never falls below the best grid value.  If no grid
+    point yields key, the best grid point is reported, or the box centre if
+    no grid point is valid.  The result is one scalar :func:`skl` call.
     """
     lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
     window = AcquisitionWindow(link, window_half)
     kernel_args = (window, security, mu3, source_rate)
-    axes = [np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 5)
-    grid_scores = skl_batch(grid, *kernel_args)
+    axes = np.array([np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)])
+    grid = np.indices((_GRID_POINTS,) * 5).reshape(5, -1)
+    grid_scores = _skl_rows(axes, grid, *kernel_args)
     # The grid is in vector order, so a stable sort ranks by (-score, vector).
     ranked = np.argsort(-grid_scores, kind="stable")[:_N_STARTS]
-    best, best_scores = grid[ranked], grid_scores[ranked]
-    vector = best[0]
+    best, best_scores = axes[_AXES, grid[:, ranked]], grid_scores[ranked]
+    vector = best[:, 0]
 
     if best_scores[0] < 0:
         vector = 0.5 * (lower + upper)
-        if skl_batch(vector[None, :], *kernel_args)[0] < 0:
-            raise ValueError(
-                "bounds box contains no valid protocol-parameter combination")
+        if _skl_rows(vector[:, None], np.zeros((5, 1), dtype=np.intp), *kernel_args)[0] < 0:
+            raise ValueError("bounds box contains no valid protocol-parameter combination")
     elif best_scores[0] > 0:
-        step = np.tile((upper - lower) / (_GRID_POINTS - 1) / 2.0, (len(best), 1))
+        step = np.repeat(((upper - lower) / (_GRID_POINTS - 1) / 2.0)[:, None], _N_STARTS, 1)
         for _ in range(_STENCIL_LEVELS):
-            probes = np.clip(best[:, None, :] + step[:, None, :] * _STENCIL,
-                             lower, upper)
-            probe_scores = skl_batch(probes.reshape(-1, 5), *kernel_args).reshape(
-                len(best), -1)
-            # Each stencil is in lexicographic order (C order over per-axis
-            # values that never decrease), so the first maximum is the
-            # smallest best vector.  The stencil holds the incumbent
-            # itself, so the pick never scores lower.
-            pick = np.arange(len(best)), probe_scores.argmax(axis=1)
-            step[(probes[pick] == best).all(axis=1)] /= 2.0
-            best, best_scores = probes[pick], probe_scores[pick]
-        vector = min(zip((-best_scores).tolist(), best.tolist()))[1]
+            best, best_scores = _stencil_level(best, step, lower, upper, kernel_args)
+        vector = min(zip((-best_scores).tolist(), best.T.tolist()))[1]
 
-    params = _params_from_vector(vector, mu3, source_rate)
+    mu1, mu2, px, p1, p2 = (float(v) for v in vector)
+    params = ProtocolParams(mu1, mu2, mu3, p1, p2, 1.0 - p1 - p2, px, source_rate)
     return params, skl(_tallies(params, window, security), params, security)

@@ -36,9 +36,13 @@ from skyqlink.studies import (
     build_pass,
     build_security,
     pointing_levels,
+    run_skl,
 )
 
 SEC = SecurityParams()
+# The full 3^5 stencil of offsets (-1, 0, +1 per axis) in C order.
+STENCIL = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 5, indexing="ij"),
+                   axis=-1).reshape(-1, 5)
 PARAMS = ProtocolParams(mu1=0.8, mu2=0.1, mu3=0.0, p1=0.7, p2=0.2, p3=0.1, px=0.7)
 
 
@@ -448,6 +452,67 @@ class TestSklBatch:
         assert bits.tolist() == [-1, -1]
 
 
+@st.composite
+def indexed_batches(draw):
+    """Five per-axis value tables and a (5, N) index into them.  mu1's and
+    mu2's tables draw from one small pool, so values repeat within each
+    table and across the two, and many rows are invalid."""
+    mu_pool = draw(st.lists(st.one_of(_edge, st.floats(min_value=0.0, max_value=1.2)),
+                            min_size=1, max_size=4))
+    tables = [np.array(draw(st.lists(st.sampled_from(mu_pool), min_size=1, max_size=5)))
+              for _ in range(2)]
+    tables += [np.array(draw(st.lists(_unit, min_size=1, max_size=5))) for _ in range(3)]
+    n_rows = draw(st.integers(min_value=1, max_value=30))
+    index = np.stack([draw(hnp.arrays(np.intp, n_rows,
+                                      elements=st.integers(0, len(table) - 1)))
+                      for table in tables])
+    return tables, index
+
+
+def table_rows(tables, index):
+    return np.stack([table[rows] for table, rows in zip(tables, index)], axis=1)
+
+
+class TestIndexedKernel:
+    @given(indexed_batches(), uniform_links(), st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_matches_skl_batch_and_the_scalar_path(self, batch, link_window, mu3):
+        tables, index = batch
+        link, window_half = link_window
+        window = AcquisitionWindow(link, window_half)
+        vectors = table_rows(tables, index)
+        try:
+            expected = [scalar_bits(v, link, window_half, SEC, mu3) for v in vectors]
+        except (ValueError, ArithmeticError):
+            with pytest.raises((ValueError, ArithmeticError)):
+                finitekey._skl_rows(tables, index, window, SEC, mu3, 2e8)
+            return
+        bits = finitekey._skl_rows(tables, index, window, SEC, mu3, 2e8)
+        assert bits.tolist() == expected
+        assert skl_batch(vectors, window, SEC, mu3=mu3).tolist() == expected
+
+    def test_entries_read_only_by_invalid_rows_are_not_evaluated(self):
+        # exp(800) and 1e200**2 overflow a Python float, but mu2 = 800 is
+        # above every mu1 and px = 1e200 is outside (0, 1): only invalid
+        # rows read them, so they score -1 as the scalar path rejects them.
+        tables = [np.array([0.5, 0.8]), np.array([0.1, 800.0]), np.array([0.7, 1e200]),
+                  np.array([0.6]), np.array([0.2])]
+        index = np.array([[0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4])
+        link = flat_link(1e-3, 1e-7)
+        bits = finitekey._skl_rows(tables, index, AcquisitionWindow(link, 50.0), SEC,
+                                   0.0, 2e8)
+        assert bits.tolist() == [scalar_bits(v, link, 50.0, SEC)
+                                 for v in table_rows(tables, index)]
+        assert bits.tolist()[2:] == [-1, -1] and (bits[:2] >= 0).all()
+
+    def test_inconsistent_tallies_raise(self):
+        window = AcquisitionWindow(flat_link(1e-3, n_b=2.0), 50.0)
+        tables = [np.array([v, v]) for v in (0.8, 0.1, 0.7, 0.7, 0.2)]
+        with pytest.raises(ValueError, match="tallies must satisfy"):
+            finitekey._skl_rows(tables, np.ones((5, 3), dtype=np.intp), window, SEC,
+                                0.0, 2e8)
+
+
 def fig2_weak_window():
     """Criterion 5's window (fig2 recipe, weak PE, dt = 50 s) as a search case."""
     scenario = parse_scenario(bundled_path("fig2_leo_haps"))
@@ -466,25 +531,25 @@ SEARCH_CASES = {
 
 @pytest.fixture(params=sorted(SEARCH_CASES))
 def searched(request, monkeypatch):
-    """One optimize_params run, with its scalar skl and lexsort calls counted."""
+    """One optimize_params run, with its scalar skl, lexsort and unique calls
+    counted."""
     link, window_half, security, box = SEARCH_CASES[request.param]()
-    calls, sorts = [], []
-    lexsort = np.lexsort
+    calls, sorts, uniques = [], [], []
 
-    def counted_skl(*args):
-        calls.append(args)
-        return skl(*args)
+    def counted(counter, function):
+        def wrapper(*args, **kwargs):
+            counter.append(args)
+            return function(*args, **kwargs)
+        return wrapper
 
-    def counted_lexsort(*args, **kwargs):
-        sorts.append(args)
-        return lexsort(*args, **kwargs)
-
-    monkeypatch.setattr(finitekey, "skl", counted_skl)
-    monkeypatch.setattr(np, "lexsort", counted_lexsort)
+    monkeypatch.setattr(finitekey, "skl", counted(calls, skl))
+    monkeypatch.setattr(np, "lexsort", counted(sorts, np.lexsort))
+    monkeypatch.setattr(np, "unique", counted(uniques, np.unique))
     params, result = optimize_params(link, window_half, security, box)
     return SimpleNamespace(link=link, window_half=window_half, security=security,
                            box=box, params=params, result=result,
-                           skl_calls=len(calls), lexsort_calls=len(sorts))
+                           skl_calls=len(calls), lexsort_calls=len(sorts),
+                           unique_calls=len(uniques))
 
 
 def python_ranked(vectors, scores):
@@ -519,25 +584,31 @@ class TestGridRanking:
 
 @st.composite
 def clipped_stencils(draw):
-    """Incumbents on or near the default box's edges with their clipped 3^5
-    stencils, scored from one random table of distinct vectors, so that
-    clipping merges values and duplicate vectors score equally, as they
-    do in the kernel."""
+    """Three incumbents on or near the default box's edges, some repeating
+    an earlier one's vector and step, with their clipped 3^5 stencils,
+    scored from one random table of distinct vectors, so that clipping
+    merges values and duplicate vectors score equally, as they do in the
+    kernel."""
     lower, upper = np.array(BoundsBox().as_list()).T
     width = upper - lower
-    k = draw(st.integers(min_value=1, max_value=3))
     at = st.sampled_from([0.0, 1e-12, 1 / 16, 0.5, 15 / 16, 1.0 - 1e-12, 1.0])
     reach = st.sampled_from([2.0, 1.0 / 8, 1.0 / 32, 2.0**-14, 1e-13])
-    best = np.clip(lower + width * np.array(
-        draw(st.lists(st.tuples(*[at] * 5), min_size=k, max_size=k))), lower, upper)
-    step = width * np.array(draw(st.lists(st.tuples(*[reach] * 5),
-                                          min_size=k, max_size=k)))
-    probes = np.clip(best[:, None, :] + step[:, None, :] * finitekey._STENCIL,
-                     lower, upper)
+    best, step = [], []
+    for i in range(finitekey._N_STARTS):
+        repeat = draw(st.integers(min_value=0, max_value=i))
+        if repeat < i:
+            best.append(best[repeat])
+            step.append(step[repeat])
+        else:
+            best.append(np.clip(lower + width * np.array(draw(st.tuples(*[at] * 5))),
+                                lower, upper))
+            step.append(width * np.array(draw(st.tuples(*[reach] * 5))))
+    best, step = np.array(best), np.array(step)
+    probes = np.clip(best[:, None, :] + step[:, None, :] * STENCIL, lower, upper)
     distinct, inverse = np.unique(probes.reshape(-1, 5), axis=0, return_inverse=True)
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     table = rng.integers(-1, 3, size=len(distinct))
-    return probes, table[inverse.reshape(-1)].reshape(k, -1)
+    return best, step, probes, table[inverse.reshape(-1)].reshape(len(best), -1)
 
 
 class TestStencilPick:
@@ -546,10 +617,44 @@ class TestStencilPick:
     def test_argmax_picks_the_ranked_vector(self, case):
         # A stencil is the C-order product of per-axis values that never
         # decrease, so its first maximum is the smallest best vector.
-        probes, scores = case
+        _, _, probes, scores = case
         argmax = probes[np.arange(len(probes)), scores.argmax(axis=1)]
         ranked = [p[python_ranked(p, s)[0]] for p, s in zip(probes, scores)]
         assert argmax.tolist() == [v.tolist() for v in ranked]
+
+
+class TestStencilLevel:
+    @given(clipped_stencils())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_deduplicated_level_matches_the_full_stencil(self, case):
+        # Scoring each distinct point of each distinct incumbent once, the
+        # level picks, scores and halves steps as the ranked full stencil.
+        best, step, probes, scores = case
+        lower, upper = np.array(BoundsBox().as_list()).T
+        score_of = {tuple(v): s for stencil, row in zip(probes, scores)
+                    for v, s in zip(stencil.tolist(), row.tolist())}
+        scored = []
+
+        def table_kernel(tables, index):
+            rows = [tuple(v) for v in table_rows(tables, index).tolist()]
+            scored.extend(rows)
+            return np.array([score_of[v] for v in rows], dtype=np.int64)
+
+        ranked = [python_ranked(p, s)[0] for p, s in zip(probes, scores)]
+        expected = np.array([p[r] for p, r in zip(probes, ranked)])
+        steps = step.T.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finitekey, "_skl_rows", table_kernel)
+            picked, picked_scores = finitekey._stencil_level(
+                best.T.copy(), steps, lower, upper, ())
+        assert picked.T.tolist() == expected.tolist()
+        assert picked_scores.tolist() == [s[r] for s, r in zip(scores, ranked)]
+        stays = (expected == best).all(axis=1)[:, None]
+        assert steps.T.tolist() == np.where(stays, step / 2.0, step).tolist()
+        incumbents = {(tuple(b), tuple(s)): p
+                      for b, s, p in zip(best.tolist(), step.tolist(), probes)}
+        assert sorted(scored) == sorted(v for p in incumbents.values()
+                                        for v in {tuple(v) for v in p.tolist()})
 
 
 class TestStencilSearch:
@@ -571,3 +676,19 @@ class TestStencilSearch:
         # The grid, each stencil and the final best-of-3 pick in vector
         # order without sorting vectors.
         assert searched.lexsort_calls == 0
+
+    def test_no_unique_call_per_window(self, searched):
+        assert searched.unique_calls == 0
+
+    def test_fig2_study_scores_at_most_300k_kernel_rows(self, monkeypatch):
+        # About 380,000 when every stencil scored all 3^5 points.
+        rows = []
+        kernel = finitekey._skl_rows
+
+        def counted(tables, index, *args):
+            rows.append(index.shape[1])
+            return kernel(tables, index, *args)
+
+        monkeypatch.setattr(finitekey, "_skl_rows", counted)
+        run_skl(parse_scenario(bundled_path("fig2_leo_haps")))
+        assert 0 < sum(rows) <= 300_000
