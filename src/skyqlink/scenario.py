@@ -58,6 +58,8 @@ def _intensity(v: float) -> str | None:
 
 # Grid sizes: a sweep needs two points, and 1e5 bounds its memory and time.
 _count = _at_most(1e5, lambda v: None if v >= 2 else "need >= 2")
+# The turbulence study's zenith x wavelength mesh, like a pass, holds at most 10^6 points.
+_MAX_MESH = 10**6
 
 
 def _angle_deg(v: float) -> str | None:
@@ -162,6 +164,8 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "entanglement": {
         "pair_mean": _Key(0.1, "float", _positive),
+        # Read by no study.  Kept because removing a key changes the digest
+        # and the `# config` lines of every report on every scenario.
         "pair_rate_mhz": _Key(10.0, "float", _positive),
     },
     "fidelity": {
@@ -274,6 +278,9 @@ def _validate_cross_keys(values: dict[str, dict[str, Any]]) -> None:
         raise ScenarioError("turbulence zenith range must be increasing")
     if turb["zenith_max_deg"] >= 90.0:
         raise ScenarioError("turbulence.zenith_max_deg must be < 90")
+    if turb["zenith_points"] * len(turb["wavelengths_nm"]) > _MAX_MESH:
+        raise ScenarioError("turbulence.zenith_points times the number of "
+                            f"turbulence.wavelengths_nm must be <= {_MAX_MESH}")
 
 
 def _resolve(parsed: dict[str, dict[str, Any]]) -> Scenario:

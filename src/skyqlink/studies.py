@@ -26,7 +26,7 @@ from .atmosphere import (
     scintillation_index,
 )
 from .channel import LinkBudget, NoiseEnvironment, link_timeseries, system_loss
-from .entanglement import DownlinkArm, DualDownlink, fidelity_sweep
+from .entanglement import fidelity_sweep
 from .finitekey import BoundsBox, SecurityParams, optimize_params
 from .geometry import (
     PassGeometry,
@@ -226,9 +226,10 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
                                sec_pass["tx_altitude_km"] * KM,
                                sec_pass["rx_altitude_km"] * KM)
     env = build_noise(scenario)
-    grid = list(np.logspace(math.log10(fid["radiance_min_w_m2_nm_sr"]),
-                            math.log10(fid["radiance_max_w_m2_nm_sr"]),
-                            fid["radiance_points"]))
+    grid = np.logspace(math.log10(fid["radiance_min_w_m2_nm_sr"]),
+                       math.log10(fid["radiance_max_w_m2_nm_sr"]),
+                       fid["radiance_points"])
+    radiances = grid.tolist()
     divergences = (link["divergence_urad"] * URAD,
                    link["compare_divergence_urad"] * URAD)
 
@@ -237,17 +238,15 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
     for label, sigma in pointing_levels(scenario):
         for divergence in divergences:
             budget = build_budget(scenario, sigma, divergence_rad=divergence)
-            arm = DownlinkArm(budget, range_m, env)
-            dual = DualDownlink(arm, arm, pair_rate=ent["pair_rate_mhz"] * MHZ,
-                                pair_mean=ent["pair_mean"])
             try:
-                swept = fidelity_sweep(dual, grid)
+                q, fidelity = fidelity_sweep(budget, range_m, env, ent["pair_mean"], grid)
             except (ValueError, ArithmeticError) as exc:
                 raise StudyNumericalError(
                     f"fidelity study failed at pe={label} "
                     f"divergence={divergence}: {exc}") from exc
-            rows += [(h_b, label, divergence, res.fidelity, res.q_a, res.q_b)
-                     for h_b, res in swept]
+            # Both arms are alike, so the one q fills both columns.
+            rows += [(h_b, label, divergence, f, q_h, q_h)
+                     for h_b, f, q_h in zip(radiances, fidelity.tolist(), q.tolist())]
     return _report(scenario, "fidelity", columns, rows)
 
 

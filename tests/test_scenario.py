@@ -126,6 +126,25 @@ class TestDiagnostics:
                            match=r"must be <= 100000, got 100001 \(line 2, column 1\)"):
             parse_scenario_text(text)
 
+    # Parse level only: a study is never run at an oversized mesh.
+    ELEVEN_WAVELENGTHS = ", ".join(str(800 + 10 * i) for i in range(11))
+
+    def test_turbulence_mesh_capped(self):
+        text = ("[turbulence]\nzenith_points = 100000\n"
+                f"wavelengths_nm = {self.ELEVEN_WAVELENGTHS}\n")
+        with pytest.raises(ScenarioError, match=r"must be <= 1000000"):
+            parse_scenario_text(text)
+        at_cap = parse_scenario_text(text.replace("100000", "90909"))
+        assert at_cap.get("turbulence", "zenith_points") == 90909
+
+    def test_turbulence_mesh_capped_in_config_lines(self):
+        lines = ["turbulence.zenith_points = 100000",
+                 f"turbulence.wavelengths_nm = {self.ELEVEN_WAVELENGTHS}"]
+        with pytest.raises(ScenarioError, match=r"must be <= 1000000"):
+            scenario_from_config_lines(lines)
+        lines[0] = "turbulence.zenith_points = 50000"
+        assert scenario_from_config_lines(lines).get("turbulence", "zenith_points") == 50000
+
 
 class TestDigestAndRoundTrip:
     def test_digest_stable_across_formatting(self):

@@ -78,17 +78,21 @@ class TestRunFidelity:
             assert row[4] == pytest.approx(row[5], rel=1e-12)
 
     def test_one_channel_evaluation_per_arm(self, monkeypatch):
-        system_loss = entanglement.system_loss
-        calls = []
+        calls = {"system_loss": 0, "background_counts": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return system_loss(*args, **kwargs)
+        def counted(name):
+            fn = getattr(entanglement, name)
 
-        monkeypatch.setattr(entanglement, "system_loss", counted)
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(entanglement, name, counted(name))
         run_fidelity(FIG3)
-        # 3 PE levels x 2 divergences x 2 arms.
-        assert len(calls) == 12
+        # 3 PE levels x 2 divergences; both arms share one evaluation.
+        assert calls == {"system_loss": 6, "background_counts": 6}
 
 
 class TestRunTurbulence:
