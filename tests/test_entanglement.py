@@ -147,6 +147,7 @@ class TestFidelitySweep:
             assert q_h == one
             assert f_h == werner_fidelity(one, one)
         if dark == 0.0:
+            # eta_sys <= 0.8 * 0.8 * 0.5 here, so pair_mean = 5e-324 gives p_s = 0.
             assert q[0] == (0.0 if pair_mean == 5e-324 else 1.0)
 
     def test_grid_validation(self):
