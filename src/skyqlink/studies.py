@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -59,13 +60,16 @@ class StudyReport:
         return lines
 
     def to_csv(self) -> str:
-        # Formatted column by column: a column is float or text throughout,
-        # so its first cell decides, as in ``_report``'s finite-value scan.
-        cells = [map("{:.9g}".format if isinstance(values[0], float) else str, values)
-                 for values in zip(*self.rows)]
         out = self.metadata_lines()
         out.append(",".join(self.columns))
-        out += map(",".join, zip(*cells))
+        if self.rows:
+            # One ``%`` format for the whole table.  A column is float or text
+            # throughout, so its first cell picks "%.9g" or "%s", as in
+            # ``_report``'s finite-value scan.
+            line = ",".join(["%.9g" if isinstance(v, float) else "%s"
+                             for v in self.rows[0]])
+            out.append("\n".join([line] * len(self.rows))
+                       % tuple(chain.from_iterable(self.rows)))
         return "\n".join(out) + "\n"
 
     def row_dicts(self) -> list[dict]:

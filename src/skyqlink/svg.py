@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 WIDTH, HEIGHT = 800, 600
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 80, 30, 50, 60
 
@@ -87,38 +89,46 @@ class _Axis:
         self.log = log
         self.pix_lo, self.pix_hi = pix_lo, pix_hi
 
-    def to_pix(self, v: float) -> float:
-        t = math.log10(v) if self.log else v
-        frac = (t - self.lo) / (self.hi - self.lo)
-        return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
+    def to_pix(self, v: np.ndarray) -> np.ndarray:
+        """Pixel positions of an array of values, in the scalar formula's
+        operation order, so a linear axis matches Python floats bit for bit.
+        A log axis takes libm's ``math.log10`` per value: numpy's SIMD log
+        may move bytes between hosts.  Overflow stays as silent as in Python."""
+        t = np.array([*map(math.log10, v.tolist())]) if self.log else v
+        with np.errstate(over="ignore", invalid="ignore"):
+            frac = (t - self.lo) / (self.hi - self.lo)
+            return self.pix_lo + frac * (self.pix_hi - self.pix_lo)
 
     def ticks(self) -> list[tuple[float, str]]:
-        """Tick values paired with their labels."""
+        """Tick pixel positions paired with their labels."""
         ticks = (_log_ticks(10.0**self.lo, 10.0**self.hi) if self.log
                  else _nice_ticks(self.lo, self.hi))
-        return list(zip(ticks, _tick_labels(ticks)))
+        return list(zip(self.to_pix(np.array(ticks, dtype=float)).tolist(),
+                        _tick_labels(ticks)))
 
 
-def _collect_series(rows: list[dict], spec: AxesSpec) -> list[tuple[str, list, list]]:
-    series: list[tuple[str, list, list]] = []
+def _collect_series(rows: list[dict], spec: AxesSpec
+                    ) -> list[tuple[str, np.ndarray, np.ndarray]]:
+    # Each plotted column becomes one float array; a series takes its rows
+    # from it by index.
+    cols = {c: np.array([r[c] for r in rows], dtype=float) for c in (spec.x, *spec.ys)}
     if spec.series_by is None:
-        groups = [("", rows)]
+        groups = [("", slice(None))]
     else:
         by = spec.series_by if isinstance(spec.series_by, tuple) else (spec.series_by,)
-        # One pass over the rows; a dict keeps the series in first-seen order.
-        by_key: dict[tuple, list[dict]] = {}
-        for row in rows:
-            by_key.setdefault(tuple([row[c] for c in by]), []).append(row)
+        keys = list(zip(*[[r[c] for r in rows] for c in by]))
+        # Series in first-seen order, each with its rows in row order.
+        first = {k: j for j, k in enumerate(dict.fromkeys(keys))}
+        codes = np.array([first[k] for k in keys])
         groups = [("/".join(f"{v:.6g}" if isinstance(v, float) else str(v)
-                            for v in k), group_rows)
-                  for k, group_rows in by_key.items()]
+                            for v in k), np.flatnonzero(codes == j))
+                  for k, j in first.items()]
+    series: list[tuple[str, np.ndarray, np.ndarray]] = []
     for y_col in spec.ys:
-        for group_name, group_rows in groups:
+        for group_name, index in groups:
             label = y_col if not group_name else (
                 f"{y_col} [{group_name}]" if len(spec.ys) > 1 else group_name)
-            xs = [float(r[spec.x]) for r in group_rows]
-            ys = [float(r[y_col]) for r in group_rows]
-            series.append((label, xs, ys))
+            series.append((label, cols[spec.x][index], cols[y_col][index]))
     return series
 
 
@@ -128,20 +138,22 @@ def render_svg(rows: list[dict], spec: AxesSpec) -> str:
         raise ValueError("cannot plot an empty report")
     series = _collect_series(rows, spec)
 
-    xs_all = [x for _, xs, _ in series for x in xs]
-    ys_all = [y for _, _, ys in series for y in ys]
-    ys_all += [h for h in spec.hlines]
+    xs_all = np.concatenate([xs for _, xs, _ in series])
+    ys_all = np.concatenate([ys for _, _, ys in series]
+                            + [np.array(spec.hlines, dtype=float)])
     if spec.y_log:
-        ys_all = [y for y in ys_all if y > 0]
-        if not ys_all:
+        ys_all = ys_all[ys_all > 0]
+        if not ys_all.size:
             raise ValueError("log y axis requires positive data")
     if spec.x_log:
-        xs_all = [x for x in xs_all if x > 0]
-        if not xs_all:
+        xs_all = xs_all[xs_all > 0]
+        if not xs_all.size:
             raise ValueError("log x axis requires positive data")
 
-    x_axis = _Axis(min(xs_all), max(xs_all), spec.x_log, MARGIN_L, WIDTH - MARGIN_R)
-    y_axis = _Axis(min(ys_all), max(ys_all), spec.y_log, HEIGHT - MARGIN_B, MARGIN_T)
+    x_axis = _Axis(float(xs_all.min()), float(xs_all.max()), spec.x_log,
+                   MARGIN_L, WIDTH - MARGIN_R)
+    y_axis = _Axis(float(ys_all.min()), float(ys_all.max()), spec.y_log,
+                   HEIGHT - MARGIN_B, MARGIN_T)
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
@@ -158,14 +170,12 @@ def render_svg(rows: list[dict], spec: AxesSpec) -> str:
     y0, y1 = HEIGHT - MARGIN_B, MARGIN_T
     parts.append(f'<rect x="{x0}" y="{y1}" width="{x1 - x0}" height="{y0 - y1}" '
                  'fill="none" stroke="black"/>')
-    for t, label in x_axis.ticks():
-        px = x_axis.to_pix(t)
+    for px, label in x_axis.ticks():
         parts.append(f'<line x1="{_fmt(px)}" y1="{y0}" x2="{_fmt(px)}" '
                      f'y2="{y0 + 5}" stroke="black"/>')
         parts.append(f'<text x="{_fmt(px)}" y="{y0 + 20}" text-anchor="middle" '
                      f'font-family="sans-serif" font-size="11">{label}</text>')
-    for t, label in y_axis.ticks():
-        py = y_axis.to_pix(t)
+    for py, label in y_axis.ticks():
         parts.append(f'<line x1="{x0 - 5}" y1="{_fmt(py)}" x2="{x0}" '
                      f'y2="{_fmt(py)}" stroke="black"/>')
         parts.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" text-anchor="end" '
@@ -180,26 +190,27 @@ def render_svg(rows: list[dict], spec: AxesSpec) -> str:
                      f'transform="rotate(-90 20 {(y0 + y1) / 2:.0f})">'
                      f'{spec.y_label}</text>')
 
-    for h in spec.hlines:
-        if spec.y_log and h <= 0:
-            continue
-        py = y_axis.to_pix(h)
+    hlines = np.array([h for h in spec.hlines if not spec.y_log or h > 0], dtype=float)
+    for py in y_axis.to_pix(hlines).tolist():
         parts.append(f'<line x1="{x0}" y1="{_fmt(py)}" x2="{x1}" y2="{_fmt(py)}" '
                      'stroke="black" stroke-dasharray="6,4"/>')
 
     # Series: polyline when >= 2 points, a lone marker otherwise.
     for idx, (label, xs, ys) in enumerate(series):
         color = PALETTE[idx % len(PALETTE)]
-        pts = [(x_axis.to_pix(x), y_axis.to_pix(y)) for x, y in zip(xs, ys)
-               if (not spec.x_log or x > 0) and (not spec.y_log or y > 0)]
-        if not pts:
-            continue
+        keep = np.full(xs.shape, True)
+        if spec.x_log:
+            keep &= xs > 0
+        if spec.y_log:
+            keep &= ys > 0
+        # x and y interleaved, one point after the other.
+        pts = np.column_stack((x_axis.to_pix(xs[keep]), y_axis.to_pix(ys[keep])))
         if len(pts) == 1:
-            px, py = pts[0]
+            px, py = pts[0].tolist()
             parts.append(f'<circle cx="{_fmt(px)}" cy="{_fmt(py)}" r="4" '
                          f'fill="{color}"/>')
-        else:
-            path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pts)
+        elif len(pts):
+            path = " ".join(["%.2f,%.2f"] * len(pts)) % tuple(pts.ravel().tolist())
             parts.append(f'<polyline points="{path}" fill="none" '
                          f'stroke="{color}" stroke-width="1.5"/>')
 

@@ -3,17 +3,20 @@
 import contextlib
 import dataclasses
 import io
+import math
+import random
 import re
 import subprocess
 import sys
 import warnings
 from xml.etree import ElementTree
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyqlink import cli, entanglement, studies
+from skyqlink import cli, entanglement, studies, svg
 from skyqlink.scenario import (
     SCHEMA,
     ScenarioError,
@@ -32,6 +35,7 @@ from skyqlink.studies import (
 )
 from skyqlink.svg import PALETTE, AxesSpec, render_svg
 
+FIG2 = parse_scenario(bundled_path("fig2_leo_haps"))
 FIG3 = parse_scenario(bundled_path("fig3_haps_laps"))
 FIG4 = parse_scenario(bundled_path("fig4_leo_ground"))
 FIG3_TEXT = bundled_path("fig3_haps_laps").read_text()
@@ -194,6 +198,75 @@ class TestReportSerialisation:
             mantissa = cell.lstrip("-").replace(".", "").split("e")[0].lstrip("0")
             assert len(mantissa) <= 9
 
+    def test_empty_report_is_metadata_and_header(self):
+        report = studies.StudyReport("pass", "ab" * 32, ("t_s", "label"), rows=(),
+                                     warnings=("w",), config_lines=("[pass]",))
+        assert report.to_csv() == ("# skyqlink 0.1.0 study=pass\n"
+                                   f"# digest sha256:{'ab' * 32}\n"
+                                   "# config [pass]\n# warning w\nt_s,label\n")
+
+    @pytest.mark.parametrize("rows", [
+        ((1.0 / 3, "weak", 7, -0.0),
+         (5e-324, "100%", -12, 1e-300),
+         (1e300, "%s", 0, 123456789.5),
+         (-2.5e-7, "a%%b", 2**70, float("inf"))),
+        ((0.1, "%d", 1, 2.0),),
+    ], ids=["mixed-columns", "one-row"])
+    def test_csv_matches_per_cell_formula(self, rows):
+        report = studies.StudyReport("pass", "0" * 64, ("x", "label", "n", "y"), rows,
+                                     config_lines=("[pass]", "a = 1"))
+        assert report.to_csv() == csv_oracle(report)
+
+    @pytest.mark.parametrize("study, scenario", [
+        ("pass", FAST_PASS), ("fidelity", FIG3), ("turbulence", FIG4)])
+    def test_study_csv_matches_per_cell_formula(self, study, scenario):
+        report = run_study(study, scenario)
+        assert report.to_csv() == csv_oracle(report)
+
+
+def csv_oracle(report):
+    """Per-cell CSV: "{:.9g}" for a float column, ``str`` for any other."""
+    cell = ["{:.9g}".format if isinstance(v, float) else str for v in report.rows[0]]
+    lines = report.metadata_lines() + [",".join(report.columns)]
+    lines += [",".join(f(v) for f, v in zip(cell, row)) for row in report.rows]
+    return "\n".join(lines) + "\n"
+
+
+def scalar_pix(axis, v):
+    """The scalar pixel formula, the oracle for the array mapping."""
+    t = math.log10(v) if axis.log else v
+    frac = (t - axis.lo) / (axis.hi - axis.lo)
+    return axis.pix_lo + frac * (axis.pix_hi - axis.pix_lo)
+
+
+def oracle_marks(rows, spec):
+    """Each series' points and each reference line's y, from ``scalar_pix``.
+
+    The rows carry columns "s" (the series), "x" and "y".
+    """
+    xs = [r["x"] for r in rows if not spec.x_log or r["x"] > 0]
+    ys = [y for y in [r["y"] for r in rows] + list(spec.hlines)
+          if not spec.y_log or y > 0]
+    x_axis = svg._Axis(min(xs), max(xs), spec.x_log, svg.MARGIN_L, svg.WIDTH - svg.MARGIN_R)
+    y_axis = svg._Axis(min(ys), max(ys), spec.y_log, svg.HEIGHT - svg.MARGIN_B, svg.MARGIN_T)
+    groups: dict = {}
+    for r in rows:
+        if (not spec.x_log or r["x"] > 0) and (not spec.y_log or r["y"] > 0):
+            groups.setdefault(r["s"], []).append(
+                f"{scalar_pix(x_axis, r['x']):.2f},{scalar_pix(y_axis, r['y']):.2f}")
+    hlines = [f"{scalar_pix(y_axis, h):.2f}" for h in spec.hlines
+              if not spec.y_log or h > 0]
+    return list(groups.values()), hlines
+
+
+def drawn_marks(doc):
+    """Each drawn series' points, polyline or lone circle, and each reference line's y."""
+    series = [points.split(" ") if points else [f"{cx},{cy}"] for points, cx, cy in
+              re.findall(r'<polyline points="([^"]*)"|<circle cx="([^"]*)" cy="([^"]*)"', doc)]
+    hlines = re.findall(r'<line x1="80" y1="([^"]*)" x2="770" y2="\1" '
+                        r'stroke="black" stroke-dasharray', doc)
+    return series, hlines
+
 
 class TestSvg:
     def test_empty_report_rejected(self):
@@ -223,6 +296,82 @@ class TestSvg:
         rows = [{"x": -1.0, "y": 1.0}, {"x": -0.5, "y": 2.0}]
         with pytest.raises(ValueError, match="log x"):
             render_svg(rows, AxesSpec(x="x", ys=("y",), x_log=True))
+
+    @pytest.mark.parametrize("x_log, y_log, hlines", [
+        (False, False, (1234.5,)),
+        (True, False, (-3.0,)),
+        (True, True, (-5.0, 0.0, 1500.0)),
+    ], ids=["linear", "log-x", "log-xy-nonpositive-filtered"])
+    def test_points_match_scalar_formula(self, x_log, y_log, hlines):
+        rng = random.Random(7)
+        rows = [{"s": s, "x": 10 ** rng.uniform(-3, 4), "y": rng.uniform(-1e3, 2e5)}
+                for s in ("A", "B", "A", "B", "C") for _ in range(40)]
+        rows.append({"s": "D", "x": 3.7, "y": 4.1e3})  # a lone point: a circle
+        rows += [{"s": "E", "x": 0.0, "y": 1.0}, {"s": "E", "x": 2.0, "y": -1.0}]
+        spec = AxesSpec(x="x", ys=("y",), series_by="s", x_log=x_log, y_log=y_log,
+                        hlines=hlines)
+        doc = render_svg(rows, spec)
+        expected = oracle_marks(rows, spec)
+        assert drawn_marks(doc) == expected
+        assert doc.count("<circle") == sum(len(points) == 1 for points in expected[0]) >= 1
+        assert len(expected[1]) >= 1
+
+    @pytest.mark.parametrize("log", [False, True], ids=["linear", "log"])
+    def test_to_pix_equals_scalar_formula_bit_for_bit(self, log):
+        rng = random.Random(3)
+        values = [10 ** rng.uniform(-4, 6) for _ in range(2000)]
+        axis = svg._Axis(min(values), max(values), log, svg.HEIGHT - svg.MARGIN_B,
+                         svg.MARGIN_T)
+        assert (axis.to_pix(np.array(values)).tolist()
+                == [scalar_pix(axis, v) for v in values])
+
+    def test_pixel_work_is_per_array(self, monkeypatch):
+        report = run_pass(FIG2)
+        calls = {"to_pix": 0, "_fmt": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(svg._Axis, "to_pix", counting("to_pix", svg._Axis.to_pix))
+        monkeypatch.setattr(svg, "_fmt", counting("_fmt", svg._fmt))
+        doc = render_svg(report.row_dicts(), PLOT_RECIPES["pass"])
+        ticks = doc.count('font-size="11">') - doc.count("stroke-width=\"2\"")
+        series = doc.count("<polyline") + doc.count("<circle")
+        hlines = doc.count("stroke-dasharray")
+        assert (len(report.rows), series) == (453, 2)
+        # Two tick arrays, one of reference lines, two per series.
+        assert calls["to_pix"] <= 3 + 2 * series
+        # A tick formats three numbers, a reference line or lone point two.
+        assert calls["_fmt"] <= 3 * ticks + 2 * (hlines + series)
+        assert 3 * ticks + 2 * (hlines + series) < len(report.rows)
+
+    def test_tick_past_float_max_maps_silently(self):
+        # The top tick lies just above the data, and tick - lo overflows to
+        # inf, as in Python float arithmetic: no warning, the same pixel.
+        hi = 1e308 * (1 - 2e-13)
+        lo = hi - sys.float_info.max
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            doc = render_svg([{"x": 0.0, "y": lo}, {"x": 1.0, "y": hi}],
+                             AxesSpec(x="x", ys=("y",)))
+        assert '<text x="72" y="-inf" text-anchor="end"' in doc
+
+    def test_y_span_past_float_max_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        rows = ((0.0, -1.7e308, 1.0, 0.0, 0.0), (1.0, 1.7e308, 2.0, 0.0, 0.0))
+        report = studies.StudyReport("pass", "0" * 64, ("t_s", "elevation_deg",
+                                     "range_km", "slew_rad_s", "eta_sys_db"), rows)
+        monkeypatch.setattr(cli, "run_study", lambda *args, **kwargs: report)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(OverflowError):
+                render_svg(report.row_dicts(), PLOT_RECIPES["pass"])
+            code = cli.main(["pass", "--out", str(tmp_path / "r.csv"),
+                             "--svg", str(tmp_path / "fig.svg")])
+        assert code == 3
+        assert "numerical failure: cannot render figure" in capsys.readouterr().err
 
     def test_interleaved_series_keep_first_seen_and_row_order(self):
         data = [("A", 2.0, 10.0), ("B", 0.0, 22.0), ("A", 0.0, 11.0),
