@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .scenario import Scenario, ScenarioError, parse_scenario, parse_scenario_text
-from .scenarios import BUNDLED, bundled_path
+from .scenarios import bundled_path
 from .studies import PLOT_RECIPES, STUDIES, StudyNumericalError, run_study
 from .svg import render_svg
 
@@ -34,12 +34,12 @@ def _load_scenario(arg: str | None) -> Scenario:
     if arg is None:
         return parse_scenario_text("")
     path = Path(arg)
-    if path.exists():
-        return parse_scenario(path)
-    stem = arg.removesuffix(".scn")
-    if stem in BUNDLED:
-        return parse_scenario(bundled_path(stem))
-    raise ScenarioError(f"scenario file not found: {arg}")
+    if not path.exists():
+        try:
+            path = bundled_path(arg)
+        except KeyError:
+            raise ScenarioError(f"scenario file not found: {arg}") from None
+    return parse_scenario(path)
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:

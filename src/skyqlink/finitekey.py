@@ -572,8 +572,11 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     stencil's first point in that order; its step halves when that is the
     incumbent itself.  After a fixed number of levels the best incumbent
     wins, so the result never falls below the best grid value.  If no grid
-    point yields key, the best grid point is reported, or the box centre if
-    no grid point is valid.  The result is one scalar :func:`skl` call.
+    point yields key, the best grid point is reported.  If no grid point is
+    valid, ValueError is raised: the middle grid point is the box centre up
+    to rounding, so no vector of the box is valid either, barring a validity
+    boundary within one ulp of the centre.  The result is one scalar
+    :func:`skl` call.
     """
     lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
     window = AcquisitionWindow(link, window_half)
@@ -587,10 +590,8 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
     vector = best[:, 0]
 
     if best_scores[0] < 0:
-        vector = 0.5 * (lower + upper)
-        if _skl_rows(vector[:, None], np.zeros((5, 1), dtype=np.intp), *kernel_args)[0] < 0:
-            raise ValueError("bounds box contains no valid protocol-parameter combination")
-    elif best_scores[0] > 0:
+        raise ValueError("bounds box contains no valid protocol-parameter combination")
+    if best_scores[0] > 0:
         step = np.repeat(((upper - lower) / (_GRID_POINTS - 1) / 2.0)[:, None], _N_STARTS, 1)
         for _ in range(_STENCIL_LEVELS):
             best, best_scores = _stencil_level(best, step, lower, upper, kernel_args)

@@ -235,24 +235,21 @@ class Scenario:
     def get(self, section: str, key: str) -> Any:
         return self.values[section][key]
 
+    def _listing(self) -> list[tuple[str, str, str]]:
+        """``(section, key, formatted value)`` of every resolved key, sorted."""
+        return [(section, key, _format_value(value)) for section in sorted(self.values)
+                for key, value in sorted(self.values[section].items())]
+
     @property
     def digest(self) -> str:
-        lines = []
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                lines.append(f"{section}.{key}={_format_value(self.get(section, key))}")
-        return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        lines = "\n".join(f"{s}.{k}={v}" for s, k, v in self._listing())
+        return hashlib.sha256(lines.encode()).hexdigest()
 
     def config_lines(self) -> list[str]:
         """One line per resolved key, defaulted ones marked; round-trips
         through :func:`scenario_from_config_lines`."""
-        out = []
-        for section in sorted(self.values):
-            for key in sorted(self.values[section]):
-                mark = "  # default" if (section, key) in self.defaulted else ""
-                out.append(
-                    f"{section}.{key} = {_format_value(self.get(section, key))}{mark}")
-        return out
+        return [f"{s}.{k} = {v}" + ("  # default" if (s, k) in self.defaulted else "")
+                for s, k, v in self._listing()]
 
 
 def _validate_cross_keys(values: dict[str, dict[str, Any]]) -> None:
@@ -394,7 +391,3 @@ NM = 1e-9
 URAD = 1e-6
 MHZ = 1e6
 NS = 1e-9
-
-
-def deg2rad(value_deg: float) -> float:
-    return math.radians(value_deg)

@@ -1,6 +1,5 @@
 """Bundled scenario fixtures for the three reproduction recipes."""
 
-from importlib import resources
 from pathlib import Path
 
 BUNDLED = ("fig2_leo_haps", "fig3_haps_laps", "fig4_leo_ground")
@@ -11,5 +10,4 @@ def bundled_path(name: str) -> Path:
     stem = name.removesuffix(".scn")
     if stem not in BUNDLED:
         raise KeyError(f"no bundled scenario {name!r}; available: {BUNDLED}")
-    with resources.as_file(resources.files(__name__) / f"{stem}.scn") as path:
-        return Path(path)
+    return Path(__file__).with_name(f"{stem}.scn")

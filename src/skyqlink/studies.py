@@ -35,7 +35,7 @@ from .geometry import (
     short_range_path,
     static_pass,
 )
-from .scenario import CM, KM, MHZ, NM, NS, URAD, Scenario, deg2rad
+from .scenario import CM, KM, MHZ, NM, NS, URAD, Scenario
 from .svg import AxesSpec
 
 
@@ -85,11 +85,11 @@ def build_pass(scenario: Scenario) -> PassGeometry:
     if sec["geometry"] == "orbital":
         return propagate_pass(
             sec["tx_altitude_km"] * KM, sec["rx_altitude_km"] * KM,
-            max_elevation_rad=deg2rad(sec["max_elevation_deg"]),
+            max_elevation_rad=math.radians(sec["max_elevation_deg"]),
             sample_interval_s=sec["sample_interval_s"],
-            horizon_elevation_rad=deg2rad(sec["horizon_elevation_deg"]))
+            horizon_elevation_rad=math.radians(sec["horizon_elevation_deg"]))
     return static_pass(sec["tx_altitude_km"] * KM, sec["rx_altitude_km"] * KM,
-                       deg2rad(sec["static_zenith_deg"]),
+                       math.radians(sec["static_zenith_deg"]),
                        duration_s=sec["static_duration_s"],
                        sample_interval_s=sec["sample_interval_s"])
 
@@ -226,7 +226,7 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
     fid = scenario.values["fidelity"]
     if sec_pass["geometry"] != "static":
         raise StudyNumericalError("fidelity study requires [pass] geometry = static")
-    range_m = short_range_path(deg2rad(sec_pass["static_zenith_deg"]),
+    range_m = short_range_path(math.radians(sec_pass["static_zenith_deg"]),
                                sec_pass["tx_altitude_km"] * KM,
                                sec_pass["rx_altitude_km"] * KM)
     env = build_noise(scenario)

@@ -53,8 +53,6 @@ def _tick_labels(ticks: list[float]) -> list[str]:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
-    if hi <= lo:
-        return [lo]
     span = hi - lo
     step = 10.0 ** math.floor(math.log10(span / target))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -78,8 +76,6 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
 class _Axis:
     def __init__(self, lo: float, hi: float, log: bool, pix_lo: float, pix_hi: float):
         if log:
-            if lo <= 0:
-                raise ValueError("log axis requires positive data")
             self.lo, self.hi = math.log10(lo), math.log10(hi)
         else:
             self.lo, self.hi = lo, hi

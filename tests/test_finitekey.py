@@ -27,7 +27,7 @@ from skyqlink.finitekey import (
     skl,
     skl_batch,
 )
-from skyqlink.scenario import parse_scenario
+from skyqlink.scenario import parse_scenario, parse_scenario_text
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
     build_bounds_box,
@@ -255,12 +255,46 @@ class TestSKL:
         assert all(a >= b for a, b in zip(values, values[1:]))
 
 
+@st.composite
+def schema_boxes(draw):
+    """A bounds box and mu3 that the scenario schema accepts, on a lattice of
+    sixteenths.  There the middle grid point is exactly the box centre, so no
+    validity boundary passes within one ulp of the centre."""
+    lines = ["[protocol]", f"mu3 = {draw(st.integers(0, 32)) / 16!r}", "[optimizer]"]
+    for name, top in (("mu1", 64), ("mu2", 64), ("px", 15), ("p1", 15), ("p2", 15)):
+        lo, hi = sorted(draw(st.lists(st.integers(1, top), min_size=2, max_size=2,
+                                      unique=True)))
+        lines += [f"{name}_min = {lo / 16!r}", f"{name}_max = {hi / 16!r}"]
+    scenario = parse_scenario_text("\n".join(lines))
+    return build_bounds_box(scenario), scenario.get("protocol", "mu3")
+
+
 class TestOptimizeParams:
     @pytest.mark.parametrize("name, bounds", [("mu2", (0.35, 0.05)), ("p1", (0.5, 0.5)),
                                               ("px", (math.nan, 0.9))])
     def test_bounds_box_rejects_a_range_that_does_not_increase(self, name, bounds):
         with pytest.raises(ValueError, match=f"{name} range must increase"):
             BoundsBox(**{name: bounds})
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=schema_boxes())
+    def test_box_without_a_valid_grid_point_raises(self, case):
+        # The search no longer tries the box centre when no grid point is
+        # valid: the centre is then invalid too.  A dead link scores every
+        # valid vector 0, so validity is all the kernel reports here.
+        box, mu3 = case
+        link = flat_link(0.0, 0.0)
+        window = AcquisitionWindow(link, 50.0)
+        grid = np.stack(np.meshgrid(*[np.linspace(lo, hi, 5) for lo, hi in box.as_list()],
+                                    indexing="ij"), axis=-1).reshape(-1, 5)
+        if (skl_batch(grid, window, SEC, mu3) >= 0).any():
+            assert optimize_params(link, 50.0, SEC, box, mu3=mu3)[1].skl == 0
+            return
+        centre = np.array(box.as_list()).mean(axis=1)
+        assert skl_batch(centre, window, SEC, mu3)[0] == -1
+        with pytest.raises(ValueError, match="bounds box contains no valid "
+                                             "protocol-parameter combination"):
+            optimize_params(link, 50.0, SEC, box, mu3=mu3)
 
     def test_degenerate_link_infeasible(self):
         params, res = optimize_params(flat_link(0.0, 0.0), 50.0, SEC)
@@ -672,9 +706,9 @@ class TestStencilSearch:
     def test_one_scalar_skl_call_per_window(self, searched):
         assert searched.skl_calls == 1
 
-    def test_at_most_two_lexsort_calls_per_window(self, searched):
-        # The grid, each stencil and the final best-of-3 pick in vector
-        # order without sorting vectors.
+    def test_no_lexsort_call_per_window(self, searched):
+        # The grid and each stencil are built in vector order, and the final
+        # best-of-3 pick compares vectors as lists, so nothing sorts vectors.
         assert searched.lexsort_calls == 0
 
     def test_no_unique_call_per_window(self, searched):
