@@ -158,9 +158,9 @@ def test_recipe_reports_match_golden(tmp_path, capsys):
         for suffix, cell_problems in ((".csv", csv_cell_problems),
                                       (".svg", svg_cell_problems)):
             name = f"{study}_{recipe}{suffix}"
-            golden, fresh = (GOLDEN / name).read_text(), (tmp_path / name).read_text()
+            golden, fresh = (GOLDEN / name).read_bytes(), (tmp_path / name).read_bytes()
             found = (["bytes differ"] if golden != fresh else []) if exact \
-                else cell_problems(golden, fresh)
+                else cell_problems(golden.decode(), fresh.decode())
             problems += [f"{name}: {p}" for p in found[:5]]
     assert not problems, f"{'exact' if exact else 'cell'} mode:\n" + "\n".join(problems)
 
