@@ -16,22 +16,27 @@ reproducible and matches the smooth key-length curves this model is
 meant to generate; no per-pulse sampling is performed.
 
 :func:`skl_batch` scores an ``(N, 5)`` batch of ``(mu1, mu2, px, p1,
-p2)`` vectors over one :class:`AcquisitionWindow`; its core takes five
-per-axis value tables and a ``(5, N)`` index into them, which the search
-builds without sorting.  Up to the decoy bounds it repeats the scalar
-``skl(simulate_tallies(...))`` path's floating-point operations in order:
-the window sums (one :meth:`AcquisitionWindow.sums` call, the scalar
-path's own), exponentials and squares of the parameters are computed
-once per table entry, with the same calls; both bases' bounds are one
-pass over ``(basis, intensity, row)`` arrays.  The logarithmic tail is
-numpy expressions over the feasible rows; numpy's SIMD ``log2`` may
-differ from libm's in the last ulp, which can move a row's floats but
-not its integer key length.  Vectors that :class:`ProtocolParams` would
-reject score -1 instead of raising; inconsistent tallies still raise.
+p2)`` vectors over one :class:`AcquisitionWindow`.  Its core takes five
+per-axis value tables and a ``(6, N)`` index: each row's entry in every
+table, then its window, so that one call scores rows of many windows; the
+search builds the index without sorting.  Up to the decoy bounds it
+repeats the scalar ``skl(simulate_tallies(...))`` path's floating-point
+operations in order: each window's sums are one
+:meth:`AcquisitionWindow.sums` call over the intensities its rows read,
+the scalar path's own; ``dt`` and the sample count are read per row;
+exponentials and squares of the parameters are computed once per table
+entry, with the same calls; both bases' bounds are one pass over
+``(basis, intensity, row)`` arrays.  The logarithmic tail is numpy
+expressions over the feasible rows; numpy's SIMD ``log2`` may differ from
+libm's in the last ulp, which can move a row's floats but not its integer
+key length.  Vectors that :class:`ProtocolParams` would reject score -1
+instead of raising; inconsistent tallies still raise.
 
-:func:`optimize_params` runs entirely on the kernel: a seeding grid in
-one call, then a fixed number of batched stencil-refinement levels.  The
-scalar functions (:func:`skl`, :func:`decoy_bounds`,
+:func:`optimize_windows` searches all windows of a study together on the
+kernel: one seeding-grid call per window, then a fixed number of compass
+levels (Kolda, Lewis & Torczon, SIAM Review 45(3), 2003), each one kernel
+call for the incumbents of every window.  :func:`optimize_params` is its
+one-window case.  The scalar functions (:func:`skl`, :func:`decoy_bounds`,
 :func:`simulate_tallies`, :func:`phase_error`) are the reference the
 kernel is tested against, and build the one reported row per window.
 """
@@ -397,13 +402,30 @@ def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
     """
     vectors = np.asarray(vectors, dtype=float).reshape(-1, 5)
     tables, index = zip(*(np.unique(column, return_inverse=True) for column in vectors.T))
-    return _skl_rows(tables, np.stack(index), window, security, mu3, source_rate)
+    index = np.stack([*index, np.zeros(len(vectors), dtype=np.intp)])
+    return _skl_rows(tables, index, [window], security, mu3, source_rate)
 
 
-def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray, window: AcquisitionWindow,
-              security: SecurityParams, mu3: float, source_rate: float) -> np.ndarray:
+def _window_sums(mu_table: np.ndarray, mu_rows: np.ndarray, window_rows: np.ndarray,
+                 windows: Sequence[AcquisitionWindow], e_intrinsic: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Click and error sums at ``mu_table[mu_rows]`` over window
+    ``windows[window_rows]``, from one :meth:`AcquisitionWindow.sums` call
+    per window over the table entries its rows read."""
+    read = np.zeros((len(windows), len(mu_table)), dtype=bool)
+    read[window_rows, mu_rows] = True
+    sums = [window.sums(mu_table[entries], e_intrinsic)
+            for window, entries, any_read in zip(windows, read, read.any(axis=1)) if any_read]
+    slot = (np.cumsum(read) - 1).reshape(read.shape)[window_rows, mu_rows]
+    return tuple(np.concatenate(column)[slot] for column in zip(*sums))
+
+
+def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray,
+              windows: Sequence[AcquisitionWindow], security: SecurityParams,
+              mu3: float, source_rate: float) -> np.ndarray:
     """:func:`skl_batch` of the rows whose value on axis ``a`` is
-    ``tables[a][index[a]]``, for five 1-D value tables and a ``(5, N)`` index."""
+    ``tables[a][index[a]]``, over window ``windows[index[5]]``, for five 1-D
+    value tables and a ``(6, N)`` index."""
     bits = np.full(index.shape[1], -1, dtype=np.int64)
     if source_rate <= 0:
         return bits
@@ -417,6 +439,7 @@ def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray, window: Acquisiti
         return bits
     mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))
     mu1_rows, mu2_rows, px_rows = index[:3, valid]
+    window_rows = index[5, valid]
 
     # Per-intensity and px terms, computed once per table entry.  An entry
     # that no valid row reads is taken as 0, since its terms may overflow.
@@ -425,18 +448,23 @@ def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray, window: Acquisiti
     mu_rows = np.array([1 + mu1_rows, 1 + len(tables[0]) + mu2_rows, np.zeros_like(mu1_rows)])
     mu_table = np.where(np.bincount(mu_rows.ravel(), minlength=len(mu_table)), mu_table, 0.0)
     scalar_terms = [(math.exp(v), math.exp(-v), v**2) for v in mu_table.tolist()]
-    mu, click, err, exp_mu, exp_neg, mu_sq = (terms[mu_rows] for terms in np.array(
-        [mu_table, *window.sums(mu_table, security.e_intrinsic), *zip(*scalar_terms)]))
+    mu, exp_mu, exp_neg, mu_sq = (terms[mu_rows] for terms in np.array(
+        [mu_table, *zip(*scalar_terms)]))
+    click, err = _window_sums(mu_table, mu_rows, window_rows, windows,
+                              security.e_intrinsic)
     prob = np.array([p1, p2, p3])
     px_table = np.where(np.bincount(px_rows, minlength=len(tables[2])), tables[2], 0.0)
     px_terms = [(x**2, (1.0 - x) ** 2) for x in px_table.tolist()]
     basis_prob = np.array(px_terms).T[:, px_rows]
 
-    # Tallies, as _tallies builds them.
-    weight = source_rate * window.dt * basis_prob[:, None, :] * prob
+    # Tallies, as _tallies builds them, from each row's window's pulses per
+    # sample and sample count.
+    weight = (np.array([source_rate * w.dt for w in windows])[window_rows]
+              * basis_prob[:, None, :] * prob)
     detected, errored = weight * click, weight * err
     if (errored < -1e-9).any() or (errored > detected + 1e-9).any() \
-            or (detected > weight * len(window.eta) + 1e-9).any():
+            or (detected > weight * np.array([len(w.eta) for w in windows])[window_rows]
+                + 1e-9).any():
         raise ValueError("tallies must satisfy 0 <= errored <= detected <= sent")
 
     # Both bases' decoy bounds, as decoy_bounds computes them.
@@ -511,47 +539,104 @@ class BoundsBox:
 # Seeding grid points per axis, and the best grid points refined.
 _GRID_POINTS = 5
 _N_STARTS = 3
-# Refinement levels after the seeding grid.  On the fig2 recipe's 30
-# windows, 14 levels keep the total key within 0.001% of a bounded
-# Nelder-Mead search; 8 levels run a third faster but lose 0.025%.
-_STENCIL_LEVELS = 14
-# Axis rows of a (5, n) value table, stencil offsets, and each point of the
-# incumbents' 3^5 stencils (C order) as columns of 3 values per incumbent.
+# Compass levels after the seeding grid.  On the fig2 recipe's 30 windows,
+# against 14 levels of a 3^5 stencil around each incumbent, 30 levels lose
+# 0.0059% of the total key from 117,494 kernel rows; 18 lose 0.016% from
+# 107,885, and 60 lose 0.0019% from 141,154.
+_COMPASS_LEVELS = 30
+# Axis rows of a (5, n) value table, and the value-table column (0 the
+# incumbent's value, 1 its -step value, 2 its +step value) that each axis
+# (row) takes at each compass point -e0..-e4, +e4..+e0 (column): these
+# points are in vector order.
 _AXES = np.arange(5)[:, None]
-_OFFSETS = np.array([-1.0, 0.0, 1.0])
-_PROBES = (np.array(np.meshgrid(*[range(3)] * 5, indexing="ij")).reshape(5, 1, -1)
-           + 3 * np.arange(_N_STARTS)[:, None]).reshape(5, -1)
+_COMPASS = np.hstack([np.eye(5), 2 * np.eye(5)[:, ::-1]]).astype(np.intp)
 
 
-def _stencil_level(best: np.ndarray, step: np.ndarray, lower: np.ndarray,
-                   upper: np.ndarray, kernel_args: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Each incumbent's (``best`` column's) first best stencil point and its
-    score; ``step`` halves in place where that point is the incumbent.
+def _compass_level(best: np.ndarray, scores: np.ndarray, step: np.ndarray,
+                   window_rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
+                   kernel_args: tuple) -> None:
+    """Move each incumbent (a row of ``best``, with its score, step and
+    window index) in place to its best strictly better compass point, or
+    halve its step.
 
-    A stencil, the C-order product of per-axis values that never decrease,
-    is in vector order.  A point that repeats an earlier one (an axis value
-    equal to the previous offset's, or an earlier incumbent's vector and
-    step) reads -2 unscored, so the first maximum is the smallest best
-    vector, and never below the incumbent.
+    The compass points are ±step on each axis, clipped to the box; a point
+    that clipping returns to the incumbent is not scored.  They are built
+    in vector order, and unscored points read -2, so the first maximum is
+    the smallest best vector.
     """
-    values = np.clip(best[:, :, None] + step[:, :, None] * _OFFSETS,
-                     lower[:, None, None], upper[:, None, None])
-    fresh = np.ones(values.shape, dtype=bool)
-    fresh[:, :, 1:] = values[:, :, 1:] != values[:, :, :-1]
-    keep = fresh[0]
-    for axis_fresh in fresh[1:]:
-        keep = (keep[:, :, None] & axis_fresh[:, None, :]).reshape(_N_STARTS, -1)
-    incumbents = list(zip(best.T.tolist(), step.T.tolist()))
-    first = [incumbents.index(c) for c in incumbents]
-    keep[np.arange(_N_STARTS) != first] = False
-    tables, keep = values.reshape(5, -1), keep.ravel()
-    scores = np.full(keep.shape, -2, dtype=np.int64)
-    scores[keep] = _skl_rows(tables, _PROBES[:, keep], *kernel_args)
-    scores = scores.reshape(_N_STARTS, -1)[first]
-    pick = scores.argmax(axis=1)
-    picked = tables[_AXES, _PROBES[:, pick + 243 * np.arange(_N_STARTS)]]
-    step[:, (picked == best).all(axis=0)] /= 2.0
-    return picked, scores[np.arange(_N_STARTS), pick]
+    values = np.stack([best, np.maximum(best - step, lower), np.minimum(best + step, upper)],
+                      axis=-1)
+    moved = values[:, :, 1:] != values[:, :, :1]
+    fresh = np.hstack([moved[:, :, 0], moved[:, ::-1, 1]])
+    tables = values.transpose(1, 0, 2).reshape(5, -1)
+    index = 3 * np.arange(len(best))[:, None] + _COMPASS[:, None, :]
+    index = np.concatenate([index, np.broadcast_to(window_rows[:, None], fresh.shape)[None]])
+    point_scores = np.full(fresh.shape, -2, dtype=np.int64)
+    point_scores[fresh] = _skl_rows(tables, index[:, fresh], *kernel_args)
+    rows = np.arange(len(best))
+    pick = point_scores.argmax(axis=1)
+    top = point_scores[rows, pick]
+    better = top > scores
+    best[better] = tables[_AXES, index[:5, rows, pick]].T[better]
+    scores[better] = top[better]
+    step[~better] /= 2.0
+
+
+def optimize_windows(windows: Sequence[AcquisitionWindow], security: SecurityParams,
+                     bounds_box: BoundsBox | None = None, mu3: float = 0.0,
+                     source_rate: float = 2e8
+                     ) -> list[tuple[ProtocolParams, FiniteKeyResult]]:
+    """Maximise each window's SKL over (mu1, mu2, px, p1, p2).
+
+    Per window, a deterministic 5-point-per-axis seeding grid (3,125
+    points) is scored in one kernel call, and its 3 best points become the
+    window's incumbents, each with a per-axis step of half the grid
+    spacing.  Points rank by higher key length, then lexicographic
+    parameter order (lower mu1 first); the grid is built in that order, so
+    a stable sort ranks it.  Then a fixed number of compass levels refine
+    the incumbents of every window whose grid yields key: each level
+    scores ±step on each axis, clipped to the box, for all of them in one
+    kernel call.  An incumbent moves to its best strictly better point, or
+    else halves its step.  The best incumbent wins, so the result never
+    falls below the best grid value.  If no grid point yields key, the best
+    grid point is reported.  If no grid point is valid, ValueError is
+    raised: the middle grid point is the box centre up to rounding, so no
+    vector of the box is valid either, barring a validity boundary within
+    one ulp of the centre.  Each result is one scalar :func:`skl` call.
+    """
+    lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
+    axes = np.array([np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)])
+    grid = np.indices((_GRID_POINTS,) * 5).reshape(5, -1)
+    grid = np.concatenate([grid, np.zeros_like(grid[:1])])
+    kernel_args = (windows, security, mu3, source_rate)
+    best, scores = [], []
+    for w in range(len(windows)):
+        grid[5] = w
+        grid_scores = _skl_rows(axes, grid, *kernel_args)
+        # The grid is in vector order, so a stable sort ranks by (-score, vector).
+        ranked = np.argsort(-grid_scores, kind="stable")[:_N_STARTS]
+        if grid_scores[ranked[0]] < 0:
+            raise ValueError("bounds box contains no valid protocol-parameter combination")
+        best.append(axes[_AXES, grid[:5, ranked]].T)
+        scores.append(grid_scores[ranked])
+    best, scores = np.concatenate(best), np.concatenate(scores)
+
+    live = np.repeat(scores[::_N_STARTS] > 0, _N_STARTS)
+    incumbents, incumbent_scores = best[live], scores[live]
+    step = np.tile((upper - lower) / (_GRID_POINTS - 1) / 2.0, (len(incumbents), 1))
+    window_rows = np.repeat(np.arange(len(windows)), _N_STARTS)[live]
+    for _ in range(_COMPASS_LEVELS if live.any() else 0):
+        _compass_level(incumbents, incumbent_scores, step, window_rows, lower, upper,
+                       kernel_args)
+    best[live], scores[live] = incumbents, incumbent_scores
+
+    results = []
+    for window, window_best, window_scores in zip(
+            windows, best.reshape(-1, _N_STARTS, 5), scores.reshape(-1, _N_STARTS)):
+        mu1, mu2, px, p1, p2 = min(zip((-window_scores).tolist(), window_best.tolist()))[1]
+        params = ProtocolParams(mu1, mu2, mu3, p1, p2, 1.0 - p1 - p2, px, source_rate)
+        results.append((params, skl(_tallies(params, window, security), params, security)))
+    return results
 
 
 def optimize_params(link: Sequence[LinkSample], window_half: float,
@@ -559,44 +644,6 @@ def optimize_params(link: Sequence[LinkSample], window_half: float,
                     bounds_box: BoundsBox | None = None,
                     mu3: float = 0.0, source_rate: float = 2e8
                     ) -> tuple[ProtocolParams, FiniteKeyResult]:
-    """Maximise the window SKL over (mu1, mu2, px, p1, p2).
-
-    A deterministic 5-point-per-axis seeding grid (3,125 points) is scored
-    in one kernel call; its 3 best points are the incumbents of a batched
-    stencil refinement, each with a per-axis step of half the grid spacing.
-    Each level scores, in one kernel call, every distinct point of each
-    incumbent's 3^5 stencil (every axis at -step, 0 and +step, clipped to
-    the box).  Points rank by higher key length, then lexicographic
-    parameter order (lower mu1 first); the grid and every stencil are built
-    in that order, so nothing is sorted.  An incumbent moves to its
-    stencil's first point in that order; its step halves when that is the
-    incumbent itself.  After a fixed number of levels the best incumbent
-    wins, so the result never falls below the best grid value.  If no grid
-    point yields key, the best grid point is reported.  If no grid point is
-    valid, ValueError is raised: the middle grid point is the box centre up
-    to rounding, so no vector of the box is valid either, barring a validity
-    boundary within one ulp of the centre.  The result is one scalar
-    :func:`skl` call.
-    """
-    lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
-    window = AcquisitionWindow(link, window_half)
-    kernel_args = (window, security, mu3, source_rate)
-    axes = np.array([np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)])
-    grid = np.indices((_GRID_POINTS,) * 5).reshape(5, -1)
-    grid_scores = _skl_rows(axes, grid, *kernel_args)
-    # The grid is in vector order, so a stable sort ranks by (-score, vector).
-    ranked = np.argsort(-grid_scores, kind="stable")[:_N_STARTS]
-    best, best_scores = axes[_AXES, grid[:, ranked]], grid_scores[ranked]
-    vector = best[:, 0]
-
-    if best_scores[0] < 0:
-        raise ValueError("bounds box contains no valid protocol-parameter combination")
-    if best_scores[0] > 0:
-        step = np.repeat(((upper - lower) / (_GRID_POINTS - 1) / 2.0)[:, None], _N_STARTS, 1)
-        for _ in range(_STENCIL_LEVELS):
-            best, best_scores = _stencil_level(best, step, lower, upper, kernel_args)
-        vector = min(zip((-best_scores).tolist(), best.T.tolist()))[1]
-
-    mu1, mu2, px, p1, p2 = (float(v) for v in vector)
-    params = ProtocolParams(mu1, mu2, mu3, p1, p2, 1.0 - p1 - p2, px, source_rate)
-    return params, skl(_tallies(params, window, security), params, security)
+    """:func:`optimize_windows` for the one window |t| <= window_half of ``link``."""
+    return optimize_windows([AcquisitionWindow(link, window_half)], security,
+                            bounds_box, mu3, source_rate)[0]

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Sequence
@@ -28,7 +29,7 @@ from .atmosphere import (
 )
 from .channel import LinkBudget, NoiseEnvironment, link_timeseries, system_loss
 from .entanglement import fidelity_sweep
-from .finitekey import BoundsBox, SecurityParams, optimize_params
+from .finitekey import AcquisitionWindow, BoundsBox, SecurityParams, optimize_windows
 from .geometry import (
     PassGeometry,
     propagate_pass,
@@ -183,12 +184,22 @@ def run_pass(scenario: Scenario) -> StudyReport:
     return _report(scenario, "pass", columns, rows)
 
 
+@contextmanager
+def _failure_at(label: str, dt_half: float):
+    """Re-raise ValueError and ArithmeticError as the failure of one skl window."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise StudyNumericalError(
+            f"skl study failed at pe={label} dt_s={dt_half}: {exc}") from exc
+
+
 def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     """Optimised secret-key length per window half-width and PE level.
 
-    ``threads`` is accepted for compatibility and has no effect: each
-    window's search is a short series of array kernel calls, and Python
-    threads would only contend for the interpreter lock.
+    ``threads`` is accepted for compatibility and has no effect: all
+    windows are searched together in a short series of array kernel
+    calls, and Python threads would only contend for the interpreter lock.
     """
     pass_geometry = build_pass(scenario)
     env = build_noise(scenario)
@@ -199,19 +210,26 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     mu3 = proto["mu3"]
     dt_values = scenario.values["skl"]["dt_values_s"]
 
-    rows = []
+    cases, windows = [], []
     for label, sigma in pointing_levels(scenario):
         link = link_timeseries(pass_geometry, build_budget(scenario, sigma), env)
         for dt_half in dt_values:
-            try:
-                params, result = optimize_params(
-                    link, dt_half, security, box, mu3=mu3, source_rate=source_rate)
-            except (ValueError, ArithmeticError) as exc:
-                raise StudyNumericalError(
-                    f"skl study failed at pe={label} dt_s={dt_half}: {exc}") from exc
-            rows.append((dt_half, label, float(result.skl), result.qber_key_basis,
-                         result.phase_error_bound, params.mu1, params.mu2,
-                         params.px, params.p1, params.p2))
+            with _failure_at(label, dt_half):
+                windows.append(AcquisitionWindow(link, dt_half))
+            cases.append((label, dt_half))
+    search = (security, box, mu3, source_rate)
+    try:
+        found = optimize_windows(windows, *search)
+    except (ValueError, ArithmeticError):
+        # Name the first window that fails on its own.
+        found = []
+        for (label, dt_half), window in zip(cases, windows):
+            with _failure_at(label, dt_half):
+                found += optimize_windows([window], *search)
+    rows = [(dt_half, label, float(result.skl), result.qber_key_basis,
+             result.phase_error_bound, params.mu1, params.mu2, params.px, params.p1,
+             params.p2)
+            for (label, dt_half), (params, result) in zip(cases, found)]
 
     columns = ("dt_s", "pe_label", "skl_bits", "qber", "phase_err",
                "mu1", "mu2", "px", "p1", "p2")

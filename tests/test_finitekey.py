@@ -1,6 +1,7 @@
 """Finite-key decoy-state BB84: tallies, bounds, SKL, optimisation."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skyqlink import finitekey
+from skyqlink import finitekey, studies
 from skyqlink.channel import LinkSample, link_timeseries
 from skyqlink.finitekey import (
     BASIS_X,
@@ -30,6 +31,7 @@ from skyqlink.finitekey import (
 from skyqlink.scenario import parse_scenario, parse_scenario_text
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
+    StudyNumericalError,
     build_bounds_box,
     build_budget,
     build_noise,
@@ -40,9 +42,6 @@ from skyqlink.studies import (
 )
 
 SEC = SecurityParams()
-# The full 3^5 stencil of offsets (-1, 0, +1 per axis) in C order.
-STENCIL = np.stack(np.meshgrid(*[(-1.0, 0.0, 1.0)] * 5, indexing="ij"),
-                   axis=-1).reshape(-1, 5)
 PARAMS = ProtocolParams(mu1=0.8, mu2=0.1, mu3=0.0, p1=0.7, p2=0.2, p3=0.1, px=0.7)
 
 
@@ -400,6 +399,18 @@ def uniform_links(draw):
 
 
 @st.composite
+def keyed_links(draw):
+    """A flat link bright enough that in-box vectors often yield key, a dead
+    one, or one whose noise clicks make the tallies inconsistent, with a
+    window inside its support."""
+    n_samples = draw(st.integers(min_value=20, max_value=100)) * 2 + 1
+    dt = draw(st.sampled_from([1.0, 0.5, 2.0]))
+    link = flat_link(draw(st.sampled_from([3e-4, 1e-3, 1e-4, 0.0])),
+                     draw(st.sampled_from([1e-7, 0.0, 2.0])), n_samples, dt)
+    return link, draw(st.floats(min_value=0.5, max_value=1.0)) * (n_samples // 2) * dt
+
+
+@st.composite
 def sum_windows(draw):
     """A window of 1 to 300 samples, cut from a 1 s link whose two end
     samples fall outside it."""
@@ -507,6 +518,12 @@ def table_rows(tables, index):
     return np.stack([table[rows] for table, rows in zip(tables, index)], axis=1)
 
 
+def one_window_rows(tables, index, window, mu3):
+    """The kernel over one window, for a (5, N) index into five tables."""
+    index = np.concatenate([index, np.zeros_like(index[:1])])
+    return finitekey._skl_rows(tables, index, [window], SEC, mu3, 2e8)
+
+
 class TestIndexedKernel:
     @given(indexed_batches(), uniform_links(), st.sampled_from([0.0, 0.02]))
     @settings(max_examples=80, deadline=None, derandomize=True)
@@ -519,11 +536,41 @@ class TestIndexedKernel:
             expected = [scalar_bits(v, link, window_half, SEC, mu3) for v in vectors]
         except (ValueError, ArithmeticError):
             with pytest.raises((ValueError, ArithmeticError)):
-                finitekey._skl_rows(tables, index, window, SEC, mu3, 2e8)
+                one_window_rows(tables, index, window, mu3)
             return
-        bits = finitekey._skl_rows(tables, index, window, SEC, mu3, 2e8)
+        bits = one_window_rows(tables, index, window, mu3)
         assert bits.tolist() == expected
         assert skl_batch(vectors, window, SEC, mu3=mu3).tolist() == expected
+
+    @given(st.lists(_vector, min_size=1, max_size=40), st.sampled_from([3, 2, 4, 1]),
+           st.data(), st.sampled_from([0.0, 0.02]))
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    def test_stacked_windows_match_the_per_window_calls(self, vectors, n_windows, data,
+                                                         mu3):
+        # Windows differ in sample count, dt and eta (a dead link among
+        # them); each row of a stacked call scores over its own window
+        # exactly as in a call over that window alone.
+        tables, index = zip(*(np.unique(column, return_inverse=True)
+                              for column in np.array(vectors).T))
+        index = np.stack(index)
+        links = data.draw(st.lists(st.one_of(keyed_links(), uniform_links()),
+                                   min_size=n_windows, max_size=n_windows))
+        windows = [AcquisitionWindow(link, half) for link, half in links]
+        window_rows = data.draw(hnp.arrays(np.intp, index.shape[1],
+                                           elements=st.integers(0, len(windows) - 1)))
+        stacked = np.concatenate([index, window_rows[None]])
+        expected = np.zeros(index.shape[1], dtype=np.int64)
+        try:
+            for w, window in enumerate(windows):
+                rows = window_rows == w
+                expected[rows] = one_window_rows(tables, index[:, rows], window, mu3)
+        except (ValueError, ArithmeticError):
+            with pytest.raises((ValueError, ArithmeticError)):
+                finitekey._skl_rows(tables, stacked, windows, SEC, mu3, 2e8)
+            return
+        bits = finitekey._skl_rows(tables, stacked, windows, SEC, mu3, 2e8)
+        assert bits.dtype == np.int64
+        assert bits.tolist() == expected.tolist()
 
     def test_entries_read_only_by_invalid_rows_are_not_evaluated(self):
         # exp(800) and 1e200**2 overflow a Python float, but mu2 = 800 is
@@ -533,8 +580,7 @@ class TestIndexedKernel:
                   np.array([0.6]), np.array([0.2])]
         index = np.array([[0, 1, 1, 0], [0, 0, 1, 0], [0, 0, 0, 1], [0] * 4, [0] * 4])
         link = flat_link(1e-3, 1e-7)
-        bits = finitekey._skl_rows(tables, index, AcquisitionWindow(link, 50.0), SEC,
-                                   0.0, 2e8)
+        bits = one_window_rows(tables, index, AcquisitionWindow(link, 50.0), 0.0)
         assert bits.tolist() == [scalar_bits(v, link, 50.0, SEC)
                                  for v in table_rows(tables, index)]
         assert bits.tolist()[2:] == [-1, -1] and (bits[:2] >= 0).all()
@@ -543,8 +589,15 @@ class TestIndexedKernel:
         window = AcquisitionWindow(flat_link(1e-3, n_b=2.0), 50.0)
         tables = [np.array([v, v]) for v in (0.8, 0.1, 0.7, 0.7, 0.2)]
         with pytest.raises(ValueError, match="tallies must satisfy"):
-            finitekey._skl_rows(tables, np.ones((5, 3), dtype=np.intp), window, SEC,
-                                0.0, 2e8)
+            one_window_rows(tables, np.ones((5, 3), dtype=np.intp), window, 0.0)
+        # Stacked behind a clean window with ten times its samples, whose
+        # sample count would cover the noisy window's clicks.
+        clean = AcquisitionWindow(flat_link(1e-3, n_samples=211), 105.0)
+        noisy = AcquisitionWindow(flat_link(1e-3, n_b=2.0, n_samples=21), 10.0)
+        index = np.concatenate([np.ones((5, 2), dtype=np.intp), [[0, 1]]])
+        assert one_window_rows(tables, index[:5, :1], clean, 0.0)[0] > 0
+        with pytest.raises(ValueError, match="tallies must satisfy"):
+            finitekey._skl_rows(tables, index, [clean, noisy], SEC, 0.0, 2e8)
 
 
 def fig2_weak_window():
@@ -617,78 +670,59 @@ class TestGridRanking:
 
 
 @st.composite
-def clipped_stencils(draw):
-    """Three incumbents on or near the default box's edges, some repeating
-    an earlier one's vector and step, with their clipped 3^5 stencils,
-    scored from one random table of distinct vectors, so that clipping
-    merges values and duplicate vectors score equally, as they do in the
-    kernel."""
+def compass_incumbents(draw):
+    """Incumbents of up to three windows, on or near the default box's
+    edges, with small-integer scores and steps of very different sizes, so
+    that clipping returns points to their incumbent and ties are common."""
     lower, upper = np.array(BoundsBox().as_list()).T
     width = upper - lower
     at = st.sampled_from([0.0, 1e-12, 1 / 16, 0.5, 15 / 16, 1.0 - 1e-12, 1.0])
     reach = st.sampled_from([2.0, 1.0 / 8, 1.0 / 32, 2.0**-14, 1e-13])
-    best, step = [], []
-    for i in range(finitekey._N_STARTS):
-        repeat = draw(st.integers(min_value=0, max_value=i))
-        if repeat < i:
-            best.append(best[repeat])
-            step.append(step[repeat])
-        else:
-            best.append(np.clip(lower + width * np.array(draw(st.tuples(*[at] * 5))),
-                                lower, upper))
-            step.append(width * np.array(draw(st.tuples(*[reach] * 5))))
-    best, step = np.array(best), np.array(step)
-    probes = np.clip(best[:, None, :] + step[:, None, :] * STENCIL, lower, upper)
-    distinct, inverse = np.unique(probes.reshape(-1, 5), axis=0, return_inverse=True)
-    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    table = rng.integers(-1, 3, size=len(distinct))
-    return best, step, probes, table[inverse.reshape(-1)].reshape(len(best), -1)
+    n = draw(st.integers(min_value=1, max_value=6))
+    best = [lower + width * np.array(draw(st.tuples(*[at] * 5))) for _ in range(n)]
+    step = [width * np.array(draw(st.tuples(*[reach] * 5))) for _ in range(n)]
+    scores = draw(st.lists(st.integers(-1, 2), min_size=n, max_size=n))
+    window_rows = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return (np.clip(best, lower, upper), np.array(scores, dtype=np.int64), np.array(step),
+            np.array(window_rows), draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
 
-class TestStencilPick:
-    @given(clipped_stencils())
+class TestCompassLevel:
+    @given(compass_incumbents())
     @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_argmax_picks_the_ranked_vector(self, case):
-        # A stencil is the C-order product of per-axis values that never
-        # decrease, so its first maximum is the smallest best vector.
-        _, _, probes, scores = case
-        argmax = probes[np.arange(len(probes)), scores.argmax(axis=1)]
-        ranked = [p[python_ranked(p, s)[0]] for p, s in zip(probes, scores)]
-        assert argmax.tolist() == [v.tolist() for v in ranked]
-
-
-class TestStencilLevel:
-    @given(clipped_stencils())
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    def test_deduplicated_level_matches_the_full_stencil(self, case):
-        # Scoring each distinct point of each distinct incumbent once, the
-        # level picks, scores and halves steps as the ranked full stencil.
-        best, step, probes, scores = case
+    def test_moves_to_the_ranked_best_strictly_better_point_or_halves(self, case):
+        best, scores, step, window_rows, seed = case
         lower, upper = np.array(BoundsBox().as_list()).T
-        score_of = {tuple(v): s for stencil, row in zip(probes, scores)
-                    for v, s in zip(stencil.tolist(), row.tolist())}
+        # Each incumbent's compass points other than itself, in vector order,
+        # with one random score per (window, point).
+        points = [sorted({tuple(np.clip(b + sign * s * np.eye(5)[axis], lower, upper))
+                          for axis in range(5) for sign in (-1.0, 1.0)} - {tuple(b)})
+                  for b, s in zip(best.tolist(), step)]
+        wanted = [(w, v) for w, group in zip(window_rows.tolist(), points) for v in group]
+        rng = np.random.default_rng(seed)
+        score_of = {key: int(rng.integers(-1, 3)) for key in sorted(set(wanted))}
         scored = []
 
-        def table_kernel(tables, index):
-            rows = [tuple(v) for v in table_rows(tables, index).tolist()]
+        def table_kernel(tables, index, *_):
+            rows = list(zip(index[5].tolist(),
+                            map(tuple, table_rows(tables, index[:5]).tolist())))
             scored.extend(rows)
-            return np.array([score_of[v] for v in rows], dtype=np.int64)
+            return np.array([score_of[key] for key in rows], dtype=np.int64)
 
-        ranked = [python_ranked(p, s)[0] for p, s in zip(probes, scores)]
-        expected = np.array([p[r] for p, r in zip(probes, ranked)])
-        steps = step.T.copy()
+        expected = [best.copy(), scores.copy(), step.copy()]
+        for i, (w, group) in enumerate(zip(window_rows.tolist(), points)):
+            group_scores = [score_of[w, v] for v in group]
+            top = python_ranked(np.array(group), group_scores)[:1]
+            if top and group_scores[top[0]] > scores[i]:
+                expected[0][i], expected[1][i] = group[top[0]], group_scores[top[0]]
+            else:
+                expected[2][i] /= 2.0
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(finitekey, "_skl_rows", table_kernel)
-            picked, picked_scores = finitekey._stencil_level(
-                best.T.copy(), steps, lower, upper, ())
-        assert picked.T.tolist() == expected.tolist()
-        assert picked_scores.tolist() == [s[r] for s, r in zip(scores, ranked)]
-        stays = (expected == best).all(axis=1)[:, None]
-        assert steps.T.tolist() == np.where(stays, step / 2.0, step).tolist()
-        incumbents = {(tuple(b), tuple(s)): p
-                      for b, s, p in zip(best.tolist(), step.tolist(), probes)}
-        assert sorted(scored) == sorted(v for p in incumbents.values()
-                                        for v in {tuple(v) for v in p.tolist()})
+            finitekey._compass_level(best, scores, step, window_rows, lower, upper, ())
+        # Scored: exactly the points other than their incumbent, in vector order.
+        assert scored == wanted
+        assert [a.tolist() for a in (best, scores, step)] == [a.tolist() for a in expected]
 
 
 class TestStencilSearch:
@@ -714,15 +748,62 @@ class TestStencilSearch:
     def test_no_unique_call_per_window(self, searched):
         assert searched.unique_calls == 0
 
-    def test_fig2_study_scores_at_most_300k_kernel_rows(self, monkeypatch):
-        # About 380,000 when every stencil scored all 3^5 points.
+    def test_fig2_study_makes_at_most_60_kernel_calls_and_125k_rows(self, monkeypatch):
+        # One grid call per window, then one call per compass level for all
+        # windows together; the 3^5 stencil made 422 calls over 293,467 rows.
         rows = []
         kernel = finitekey._skl_rows
 
-        def counted(tables, index, *args):
+        def counted(tables, index, windows, *args):
+            assert index.shape[0] == 6
             rows.append(index.shape[1])
-            return kernel(tables, index, *args)
+            return kernel(tables, index, windows, *args)
 
         monkeypatch.setattr(finitekey, "_skl_rows", counted)
         run_skl(parse_scenario(bundled_path("fig2_leo_haps")))
-        assert 0 < sum(rows) <= 300_000
+        assert 0 < len(rows) <= 60
+        assert sum(rows) <= 125_000
+        assert max(rows) == finitekey._GRID_POINTS ** 5
+
+    def test_fig2_study_tracemalloc_peak_at_most_2_5_mb(self):
+        # One window's 3,125-row grid call sets the peak (about 2.1 MB; 1.91
+        # MB with the stencil).  Grids of several windows in one call pass it.
+        scenario = parse_scenario(bundled_path("fig2_leo_haps"))
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            run_skl(scenario)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert peak <= 2.5e6
+
+    def test_stacked_failure_names_the_first_window_that_fails_alone(self, monkeypatch):
+        # A kernel failure on the 14th window (pe=moderate, 4th dt) fails the
+        # stacked search; the study then names that window.
+        scenario = parse_scenario(bundled_path("fig2_leo_haps"))
+        made = []
+        kernel = finitekey._skl_rows
+
+        class Recorded(AcquisitionWindow):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def failing(tables, index, windows, *args):
+            if any(windows[w] is made[13] for w in set(index[5].tolist())):
+                raise ArithmeticError("secret-key length is not finite")
+            return kernel(tables, index, windows, *args)
+
+        monkeypatch.setattr(studies, "AcquisitionWindow", Recorded)
+        monkeypatch.setattr(finitekey, "_skl_rows", failing)
+        label = pointing_levels(scenario)[1][0]
+        dt_half = scenario.values["skl"]["dt_values_s"][3]
+        with pytest.raises(StudyNumericalError,
+                           match=f"^skl study failed at pe={label} dt_s={dt_half}: "
+                                 "secret-key length is not finite$"):
+            run_skl(scenario)

@@ -5,7 +5,10 @@ Files compare byte for byte when numpy's version and the highest SIMD level
 it dispatches to are recorded in ``tests/golden/recorded.json``.  Elsewhere
 they compare cell by cell: text and integer cells exactly, CSV floats within
 one unit in the 9th significant digit, SVG numbers within one unit in their
-last printed place.  The test prints which mode ran.
+last printed place.  The test prints which mode ran.  It runs again in one
+child process per SIMD level numpy dispatches to below the host's, each
+started with ``NPY_DISABLE_CPU_FEATURES`` (``python tests/test_golden.py
+--check`` is one such run).
 
 After a declared output change, regenerate the files and the record with
 
@@ -135,16 +138,20 @@ def svg_cell_problems(golden: str, fresh: str) -> list[str]:
             if x != y and abs(float(x) - float(y)) > 1.000001 * _unit_last_place(x)]
 
 
-def test_recipe_reports_match_golden(tmp_path, capsys):
+def golden_mode() -> tuple[bool, str]:
+    """Whether this process compares bytes exactly, and a line saying so."""
     record = json.loads(RECORD.read_text())
     host = {"numpy": np.__version__, "simd": simd_level()}
     exact = host["numpy"] == record["numpy"] and host["simd"] in record["simd"]
-    with capsys.disabled():
-        print(f"\ngolden reports: {'exact' if exact else 'cell'} mode "
-              f"(numpy {host['numpy']}, {host['simd']})")
+    return exact, (f"golden reports: {'exact' if exact else 'cell'} mode "
+                   f"(numpy {host['numpy']}, {host['simd']})")
 
-    results = run_pairs(tmp_path)
-    written = sorted(p.name for p in tmp_path.iterdir())
+
+def check_reports(out_dir: Path, exact: bool) -> None:
+    """Run the pairs into ``out_dir`` and assert that they match the golden
+    files, bytes compared exactly or cell by cell."""
+    results = run_pairs(out_dir)
+    written = sorted(p.name for p in out_dir.iterdir())
     kept = sorted(p.name for p in GOLDEN.iterdir() if p != RECORD)
     assert written == kept
     problems = []
@@ -158,11 +165,38 @@ def test_recipe_reports_match_golden(tmp_path, capsys):
         for suffix, cell_problems in ((".csv", csv_cell_problems),
                                       (".svg", svg_cell_problems)):
             name = f"{study}_{recipe}{suffix}"
-            golden, fresh = (GOLDEN / name).read_bytes(), (tmp_path / name).read_bytes()
+            golden, fresh = (GOLDEN / name).read_bytes(), (out_dir / name).read_bytes()
             found = (["bytes differ"] if golden != fresh else []) if exact \
                 else cell_problems(golden.decode(), fresh.decode())
             problems += [f"{name}: {p}" for p in found[:5]]
     assert not problems, f"{'exact' if exact else 'cell'} mode:\n" + "\n".join(problems)
+
+
+def level_env(targets: list[str], k: int) -> dict:
+    """This process's environment with the dispatch targets from ``targets[k]``
+    on disabled, for one child process."""
+    return dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets[k:]))
+
+
+def test_recipe_reports_match_golden(tmp_path, capsys):
+    exact, mode = golden_mode()
+    with capsys.disabled():
+        print(f"\n{mode}")
+    check_reports(tmp_path, exact)
+
+
+def test_recipe_reports_match_golden_at_lower_simd_levels(capsys):
+    # One child process per dispatched SIMD level below this one, as
+    # _regenerate writes the reports; each compares in its own mode.
+    targets = dispatched_targets()
+    with capsys.disabled():
+        print(f"\n{len(targets)} SIMD levels below {simd_level()}")
+    for k in range(len(targets) - 1, -1, -1):
+        proc = subprocess.run([sys.executable, __file__, "--check"],
+                              env=level_env(targets, k), capture_output=True, text=True)
+        with capsys.disabled():
+            print(proc.stdout.strip())
+        assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
 def test_cell_mode_tolerances():
@@ -197,9 +231,9 @@ def _regenerate() -> None:
         for k in range(len(targets), -1, -1):
             out = Path(scratch) / str(k)
             out.mkdir()
-            env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=" ".join(targets[k:]))
             proc = subprocess.run([sys.executable, __file__, "--write", str(out)],
-                                  env=env, capture_output=True, text=True, check=True)
+                                  env=level_env(targets, k), capture_output=True, text=True,
+                                  check=True)
             levels[proc.stdout.strip()] = out
         outputs = {level: {p.name: p.read_bytes() for p in out.iterdir()}
                    for level, out in levels.items()}
@@ -221,5 +255,10 @@ if __name__ == "__main__":
     if sys.argv[1:2] == ["--write"]:
         run_pairs(Path(sys.argv[2]))
         print(simd_level())
+    elif sys.argv[1:2] == ["--check"]:
+        exact, mode = golden_mode()
+        print(mode, flush=True)
+        with tempfile.TemporaryDirectory() as out:
+            check_reports(Path(out), exact)
     else:
         _regenerate()
