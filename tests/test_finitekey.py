@@ -687,6 +687,70 @@ def compass_incumbents(draw):
             np.array(window_rows), draw(st.integers(min_value=0, max_value=2**32 - 1)))
 
 
+def full_compass(best, step):
+    """Every incumbent's ten clipped compass points, in the level's column
+    order, including those that clipping returns to the incumbent."""
+    lower, upper = np.array(BoundsBox().as_list()).T
+    values = np.stack([best, np.maximum(best - step, lower), np.minimum(best + step, upper)],
+                      axis=-1)
+    return values[:, finitekey._AXES, finitekey._COMPASS].transpose(0, 2, 1)
+
+
+class TestStencilPick:
+    @given(compass_incumbents())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_argmax_picks_the_ranked_vector(self, case):
+        # The compass columns -e0..-e4, +e4..+e0 that clipping does not
+        # return to the incumbent increase in vector order, and the others
+        # read -2, so a compass's first maximum is its smallest best vector.
+        best, _, step, _, seed = case
+        points = full_compass(best, step)
+        moved = (points != best[:, None, :]).any(axis=-1)
+        scores = np.random.default_rng(seed).integers(-1, 3, size=moved.shape)
+        scores[~moved] = -2
+        live = moved.any(axis=1)
+        argmax = points[np.arange(len(points)), scores.argmax(axis=1)][live]
+        ranked = [p[m][python_ranked(p[m], s[m])[0]]
+                  for p, s, m in zip(points[live], scores[live], moved[live])]
+        assert argmax.tolist() == [v.tolist() for v in ranked]
+
+
+class TestStencilLevel:
+    @given(compass_incumbents())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_deduplicated_level_matches_the_full_stencil(self, case):
+        # Skipping the points that clipping returns to the incumbent, the
+        # level moves, scores and halves steps as the ranked full compass,
+        # where such a point scores as the incumbent and so never wins.
+        best, _, step, window_rows, seed = case
+        lower, upper = np.array(BoundsBox().as_list()).T
+        points = full_compass(best, step)
+        keys = sorted({(w, tuple(v)) for w, b, p in zip(window_rows.tolist(), best.tolist(),
+                                                        points.tolist())
+                       for v in [b] + p})
+        rng = np.random.default_rng(seed)
+        score_of = {key: int(rng.integers(-1, 3)) for key in keys}
+        scores = np.array([score_of[w, tuple(b)] for w, b in
+                           zip(window_rows.tolist(), best.tolist())], dtype=np.int64)
+
+        def table_kernel(tables, index, *_):
+            rows = zip(index[5].tolist(), map(tuple, table_rows(tables, index[:5]).tolist()))
+            return np.array([score_of[key] for key in rows], dtype=np.int64)
+
+        expected = [best.copy(), scores.copy(), step.copy()]
+        for i, (w, p) in enumerate(zip(window_rows.tolist(), points)):
+            full_scores = [score_of[w, tuple(v)] for v in p.tolist()]
+            top = python_ranked(p, full_scores)[0]
+            if full_scores[top] > scores[i]:
+                expected[0][i], expected[1][i] = p[top], full_scores[top]
+            else:
+                expected[2][i] /= 2.0
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(finitekey, "_skl_rows", table_kernel)
+            finitekey._compass_level(best, scores, step, window_rows, lower, upper, ())
+        assert [a.tolist() for a in (best, scores, step)] == [a.tolist() for a in expected]
+
+
 class TestCompassLevel:
     @given(compass_incumbents())
     @settings(max_examples=200, deadline=None, derandomize=True)
