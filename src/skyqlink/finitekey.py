@@ -186,16 +186,17 @@ def binary_entropy(x: float) -> float:
 
 
 class AcquisitionWindow:
-    """The link samples with |t| <= window_half.
+    """The samples of ``link``, a :class:`LinkSample` list or the ``(n, 3)``
+    array of its rows, with |t| <= window_half.
 
     Holds the per-sample system transmittance ``eta``, the noise-click
     probability ``p_noise`` and the sample step ``dt``.
     """
 
-    def __init__(self, link: Sequence[LinkSample], window_half: float) -> None:
+    def __init__(self, link: Sequence[LinkSample] | np.ndarray, window_half: float) -> None:
         if window_half <= 0:
             raise ValueError(f"window_half must be > 0, got {window_half}")
-        t, eta, n_b = np.array(link, dtype=float).reshape(-1, 3).T
+        t, eta, n_b = np.asarray(link, dtype=float).reshape(-1, 3).T
         if len(t) < 2:
             raise ValueError("link must contain at least two samples")
         steps = np.diff(t)
@@ -433,8 +434,7 @@ def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray,
     p3 = 1.0 - p1 - p2
     valid = ((mu1 > mu2) & (mu2 > mu3) & (mu3 >= 0.0) & (mu1 > mu2 + mu3)
              & (p1 > 0.0) & (p1 < 1.0) & (p2 > 0.0) & (p2 < 1.0)
-             & (p3 > 0.0) & (p3 < 1.0) & ~(np.abs(p1 + p2 + p3 - 1.0) > 1e-9)
-             & (px > 0.0) & (px < 1.0))
+             & (p3 > 0.0) & (p3 < 1.0) & (px > 0.0) & (px < 1.0))
     if not valid.any():
         return bits
     mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))

@@ -92,6 +92,11 @@ def _float_list_increasing(v: tuple[float, ...]) -> str | None:
     return None
 
 
+def _window_list(v: tuple[float, ...]) -> str | None:
+    # The skl search's memory grows with the square of its window count.
+    return _float_list_increasing(v) or (None if len(v) <= 100 else "must list <= 100 values")
+
+
 @dataclass(frozen=True)
 class _Key:
     default: Any
@@ -160,7 +165,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
     },
     "skl": {
         "dt_values_s": _Key(tuple(float(x) for x in range(10, 101, 10)),
-                            "float_list", _float_list_increasing),
+                            "float_list", _window_list),
     },
     "entanglement": {
         "pair_mean": _Key(0.1, "float", _positive),

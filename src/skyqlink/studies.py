@@ -64,9 +64,9 @@ class StudyReport:
         out = self.metadata_lines()
         out.append(",".join(self.columns))
         if self.rows:
-            # One ``%`` format for the whole table.  A column is float or text
-            # throughout, so its first cell picks "%.9g" or "%s", as in
-            # ``_report``'s finite-value scan.
+            # One ``%`` format for the whole table.  A column holds one type
+            # (float, int or text), so its first cell picks "%.9g" or "%s", as
+            # in ``_report``'s finite-value scan.
             line = ",".join(["%.9g" if isinstance(v, float) else "%s"
                              for v in self.rows[0]])
             out.append("\n".join([line] * len(self.rows))
@@ -126,19 +126,14 @@ def build_noise(scenario: Scenario) -> NoiseEnvironment:
 
 
 def build_security(scenario: Scenario) -> SecurityParams:
-    sec = scenario.values["security"]
-    return SecurityParams(eps_sec=sec["eps_sec"], eps_cor=sec["eps_cor"],
-                          f_ec=sec["f_ec"], e_intrinsic=sec["e_intrinsic"])
+    # The section's keys are the dataclass's fields by name.
+    return SecurityParams(**scenario.values["security"])
 
 
 def build_bounds_box(scenario: Scenario) -> BoundsBox:
     opt = scenario.values["optimizer"]
-    return BoundsBox(
-        mu1=(opt["mu1_min"], opt["mu1_max"]),
-        mu2=(opt["mu2_min"], opt["mu2_max"]),
-        px=(opt["px_min"], opt["px_max"]),
-        p1=(opt["p1_min"], opt["p1_max"]),
-        p2=(opt["p2_min"], opt["p2_max"]))
+    return BoundsBox(**{name: (opt[f"{name}_min"], opt[f"{name}_max"])
+                        for name in ("mu1", "mu2", "px", "p1", "p2")})
 
 
 def build_turbulence_profile(scenario: Scenario) -> TurbulenceProfile:
@@ -203,21 +198,19 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     """
     pass_geometry = build_pass(scenario)
     env = build_noise(scenario)
-    security = build_security(scenario)
-    box = build_bounds_box(scenario)
     proto = scenario.values["protocol"]
-    source_rate = proto["source_rate_mhz"] * MHZ
-    mu3 = proto["mu3"]
+    search = (build_security(scenario), build_bounds_box(scenario), proto["mu3"],
+              proto["source_rate_mhz"] * MHZ)
     dt_values = scenario.values["skl"]["dt_values_s"]
 
     cases, windows = [], []
     for label, sigma in pointing_levels(scenario):
-        link = link_timeseries(pass_geometry, build_budget(scenario, sigma), env)
+        # One (n, 3) array per level, from which each of its windows is cut.
+        link = np.array(link_timeseries(pass_geometry, build_budget(scenario, sigma), env))
         for dt_half in dt_values:
             with _failure_at(label, dt_half):
                 windows.append(AcquisitionWindow(link, dt_half))
             cases.append((label, dt_half))
-    search = (security, box, mu3, source_rate)
     try:
         found = optimize_windows(windows, *search)
     except (ValueError, ArithmeticError):
@@ -226,7 +219,7 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
         for (label, dt_half), window in zip(cases, windows):
             with _failure_at(label, dt_half):
                 found += optimize_windows([window], *search)
-    rows = [(dt_half, label, float(result.skl), result.qber_key_basis,
+    rows = [(dt_half, label, result.skl, result.qber_key_basis,
              result.phase_error_bound, params.mu1, params.mu2, params.px, params.p1,
              params.p2)
             for (label, dt_half), (params, result) in zip(cases, found)]

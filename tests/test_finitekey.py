@@ -446,6 +446,21 @@ class TestWindowSums:
         sums = np.stack(window.sums(np.array(mu), e_intrinsic), axis=-1)
         assert sums.view(np.int64).tolist() == np.array(expected).view(np.int64).tolist()
 
+    @given(uniform_links(), st.lists(st.floats(min_value=0.0, max_value=5.0),
+                                     min_size=1, max_size=4))
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_array_link_matches_the_list(self, link_window, mu):
+        # run_skl cuts each level's windows from one (n, 3) array of its samples.
+        link, window_half = link_window
+        from_list = AcquisitionWindow(link, window_half)
+        from_array = AcquisitionWindow(np.array(link), window_half)
+        assert from_array.dt.hex() == from_list.dt.hex()
+        for got, want in ((from_array.eta, from_list.eta),
+                          (from_array.p_noise, from_list.p_noise),
+                          *zip(from_array.sums(np.array(mu), 0.01),
+                               from_list.sums(np.array(mu), 0.01))):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestSklBatch:
     @given(st.lists(_vector, min_size=1, max_size=30), uniform_links(),

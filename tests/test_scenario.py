@@ -126,6 +126,16 @@ class TestDiagnostics:
                            match=r"must be <= 100000, got 100001 \(line 2, column 1\)"):
             parse_scenario_text(text)
 
+    def test_window_count_capped(self):
+        # The skl search's memory grows with the square of its window count.
+        text = "[skl]\ndt_values_s = {}\n"
+        values = [str(v) for v in range(1, 102)]
+        at_cap = parse_scenario_text(text.format(", ".join(values[:100])))
+        assert len(at_cap.get("skl", "dt_values_s")) == 100
+        with pytest.raises(ScenarioError, match=r"^skl\.dt_values_s must list <= 100 "
+                                                r"values, got .* \(line 2, column 1\)$"):
+            parse_scenario_text(text.format(", ".join(values)))
+
     # Parse level only: a study is never run at an oversized mesh.
     ELEVEN_WAVELENGTHS = ", ".join(str(800 + 10 * i) for i in range(11))
 

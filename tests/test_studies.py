@@ -30,6 +30,7 @@ from skyqlink.studies import (
     StudyNumericalError,
     run_fidelity,
     run_pass,
+    run_skl,
     run_study,
     run_turbulence,
 )
@@ -204,6 +205,14 @@ class TestReportSerialisation:
         assert report.to_csv() == ("# skyqlink 0.1.0 study=pass\n"
                                    f"# digest sha256:{'ab' * 32}\n"
                                    "# config [pass]\n# warning w\nt_s,label\n")
+
+    def test_skl_bits_print_as_the_exact_integer(self):
+        # One window of some 4.6e9 bits, more digits than "%.9g" prints.
+        report = run_skl(parse_scenario_text(
+            "[protocol]\nsource_rate_mhz = 1e6\n[skl]\ndt_values_s = 100\n"))
+        (bits,) = [row[2] for row in report.rows]
+        assert isinstance(bits, int) and bits >= 10**9
+        assert report.to_csv().splitlines()[-1].split(",")[2] == str(bits)
 
     @pytest.mark.parametrize("rows", [
         ((1.0 / 3, "weak", 7, -0.0),
