@@ -33,12 +33,12 @@ key length.  Vectors that :class:`ProtocolParams` would reject score -1
 instead of raising; inconsistent tallies still raise.
 
 :func:`optimize_windows` searches all windows of a study together on the
-kernel: one seeding-grid call per window, then a fixed number of compass
-levels (Kolda, Lewis & Torczon, SIAM Review 45(3), 2003), each one kernel
-call for the incumbents of every window.  :func:`optimize_params` is its
-one-window case.  The scalar functions (:func:`skl`, :func:`decoy_bounds`,
-:func:`simulate_tallies`, :func:`phase_error`) are the reference the
-kernel is tested against, and build the one reported row per window.
+kernel: one seeding-grid call per pointing level, whose best points seed
+all its windows, then a fixed number of compass levels (Kolda, Lewis &
+Torczon, SIAM Review 45(3), 2003), each one kernel call for the incumbents
+of every window.  :func:`optimize_params` is its one-window case.  The
+scalar functions (:func:`skl`, :func:`decoy_bounds`, :func:`simulate_tallies`,
+:func:`phase_error`) are the kernel's reference, and build each reported row.
 """
 
 from __future__ import annotations
@@ -539,10 +539,8 @@ class BoundsBox:
 # Seeding grid points per axis, and the best grid points refined.
 _GRID_POINTS = 5
 _N_STARTS = 3
-# Compass levels after the seeding grid.  On the fig2 recipe's 30 windows,
-# against 14 levels of a 3^5 stencil around each incumbent, 30 levels lose
-# 0.0059% of the total key from 117,494 kernel rows; 18 lose 0.016% from
-# 107,885, and 60 lose 0.0019% from 141,154.
+# Compass levels after the seeding grid.  With a grid per fig2 window, 30
+# lost 0.0059% of the key of a 3^5 stencil's 14; 18 lost 0.016%, 60 0.0019%.
 _COMPASS_LEVELS = 30
 # Axis rows of a (5, n) value table, and the value-table column (0 the
 # incumbent's value, 1 its -step value, 2 its +step value) that each axis
@@ -556,11 +554,9 @@ def _compass_level(best: np.ndarray, scores: np.ndarray, step: np.ndarray,
                    window_rows: np.ndarray, lower: np.ndarray, upper: np.ndarray,
                    kernel_args: tuple) -> None:
     """Move each incumbent (a row of ``best``, with its score, step and
-    window index) in place to its best strictly better compass point, or
-    halve its step.
-
-    The compass points are ±step on each axis, clipped to the box; a point
-    that clipping returns to the incumbent is not scored.  They are built
+    window index) in place to its best strictly better compass point, ±step
+    on one axis clipped to the box, or halve its step.  A point that
+    clipping returns to the incumbent is not scored.  The points are built
     in vector order, and unscored points read -2, so the first maximum is
     the smallest best vector.
     """
@@ -582,49 +578,54 @@ def _compass_level(best: np.ndarray, scores: np.ndarray, step: np.ndarray,
     step[~better] /= 2.0
 
 
-def optimize_windows(windows: Sequence[AcquisitionWindow], security: SecurityParams,
-                     bounds_box: BoundsBox | None = None, mu3: float = 0.0,
-                     source_rate: float = 2e8
+def optimize_windows(levels: Sequence[Sequence[AcquisitionWindow]],
+                     security: SecurityParams, bounds_box: BoundsBox | None = None,
+                     mu3: float = 0.0, source_rate: float = 2e8
                      ) -> list[tuple[ProtocolParams, FiniteKeyResult]]:
-    """Maximise each window's SKL over (mu1, mu2, px, p1, p2).
+    """Maximise the SKL of each window of ``levels`` (lists of windows cut
+    from one link each) over (mu1, mu2, px, p1, p2); results in order.
 
-    Per window, a deterministic 5-point-per-axis seeding grid (3,125
-    points) is scored in one kernel call, and its 3 best points become the
-    window's incumbents, each with a per-axis step of half the grid
-    spacing.  Points rank by higher key length, then lexicographic
-    parameter order (lower mu1 first); the grid is built in that order, so
-    a stable sort ranks it.  Then a fixed number of compass levels refine
-    the incumbents of every window whose grid yields key: each level
-    scores ±step on each axis, clipped to the box, for all of them in one
-    kernel call.  An incumbent moves to its best strictly better point, or
-    else halves its step.  The best incumbent wins, so the result never
-    falls below the best grid value.  If no grid point yields key, the best
-    grid point is reported.  If no grid point is valid, ValueError is
-    raised: the middle grid point is the box centre up to rounding, so no
-    vector of the box is valid either, barring a validity boundary within
-    one ulp of the centre.  Each result is one scalar :func:`skl` call.
+    A 5-point-per-axis grid (3,125 points, in vector order) is scored on
+    each level's widest window; its 3 best points by (-score, vector) seed
+    every window of the level, with a step of half the grid spacing, and are
+    rescored in one kernel call.  A window whose seeds give no key is seeded
+    from its own grid, so it reports 0 only if that grid does, and then its
+    best grid point.  Compass levels, one kernel call each, refine the seeds
+    of windows with key (:func:`_compass_level`); the best wins, as one
+    scalar :func:`skl` call.  ValueError means no grid point is valid:
+    validity does not depend on the window, and the middle grid point is the
+    box centre up to rounding, so barring a validity boundary within one ulp
+    of it, no vector of the box is.
     """
     lower, upper = np.array((bounds_box or BoundsBox()).as_list()).T
     axes = np.array([np.linspace(lo, hi, _GRID_POINTS) for lo, hi in zip(lower, upper)])
-    grid = np.indices((_GRID_POINTS,) * 5).reshape(5, -1)
-    grid = np.concatenate([grid, np.zeros_like(grid[:1])])
+    grid = np.indices((_GRID_POINTS,) * 5 + (1,)).reshape(6, -1)  # row 5: window 0
+    windows = [window for level in levels for window in level]
     kernel_args = (windows, security, mu3, source_rate)
-    best, scores = [], []
-    for w in range(len(windows)):
+
+    def ranked_grid(w: int) -> tuple[np.ndarray, np.ndarray]:
+        # The grid is in vector order, so a stable sort ranks by (-score, vector).
         grid[5] = w
         grid_scores = _skl_rows(axes, grid, *kernel_args)
-        # The grid is in vector order, so a stable sort ranks by (-score, vector).
         ranked = np.argsort(-grid_scores, kind="stable")[:_N_STARTS]
         if grid_scores[ranked[0]] < 0:
             raise ValueError("bounds box contains no valid protocol-parameter combination")
-        best.append(axes[_AXES, grid[:5, ranked]].T)
-        scores.append(grid_scores[ranked])
-    best, scores = np.concatenate(best), np.concatenate(scores)
+        return grid[:, ranked], grid_scores[ranked]
 
-    live = np.repeat(scores[::_N_STARTS] > 0, _N_STARTS)
+    # index[:, w, k]: seed k of window w, as grid indices and window index.
+    index = np.tile(np.arange(len(windows))[:, None], (6, 1, _N_STARTS))
+    widest = []
+    for first, level in zip(np.cumsum([0, *map(len, levels)]).tolist(), levels):
+        widest.append(first + int(np.argmax([len(window.eta) for window in level])))
+        index[:5, first:first + len(level)] = ranked_grid(widest[-1])[0][:5, None]
+    scores = _skl_rows(axes, index.reshape(6, -1), *kernel_args).reshape(-1, _N_STARTS)
+    for w in sorted(set(np.flatnonzero(scores.max(axis=1) <= 0).tolist()) - set(widest)):
+        index[:, w], scores[w] = ranked_grid(w)
+    live = np.repeat(scores.max(axis=1) > 0, _N_STARTS)
+    best, scores = axes[_AXES, index[:5].reshape(5, -1)].T, scores.ravel()
     incumbents, incumbent_scores = best[live], scores[live]
     step = np.tile((upper - lower) / (_GRID_POINTS - 1) / 2.0, (len(incumbents), 1))
-    window_rows = np.repeat(np.arange(len(windows)), _N_STARTS)[live]
+    window_rows = index[5].ravel()[live]
     for _ in range(_COMPASS_LEVELS if live.any() else 0):
         _compass_level(incumbents, incumbent_scores, step, window_rows, lower, upper,
                        kernel_args)
@@ -640,10 +641,9 @@ def optimize_windows(windows: Sequence[AcquisitionWindow], security: SecurityPar
 
 
 def optimize_params(link: Sequence[LinkSample], window_half: float,
-                    security: SecurityParams,
-                    bounds_box: BoundsBox | None = None,
+                    security: SecurityParams, bounds_box: BoundsBox | None = None,
                     mu3: float = 0.0, source_rate: float = 2e8
                     ) -> tuple[ProtocolParams, FiniteKeyResult]:
     """:func:`optimize_windows` for the one window |t| <= window_half of ``link``."""
-    return optimize_windows([AcquisitionWindow(link, window_half)], security,
+    return optimize_windows([[AcquisitionWindow(link, window_half)]], security,
                             bounds_box, mu3, source_rate)[0]

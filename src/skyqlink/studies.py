@@ -192,9 +192,8 @@ def _failure_at(label: str, dt_half: float):
 def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     """Optimised secret-key length per window half-width and PE level.
 
-    ``threads`` is accepted for compatibility and has no effect: all
-    windows are searched together in a short series of array kernel
-    calls, and Python threads would only contend for the interpreter lock.
+    All windows are searched together in a few array kernel calls, each
+    PE level's from one grid on its widest window; ``threads`` has no effect.
     """
     pass_geometry = build_pass(scenario)
     env = build_noise(scenario)
@@ -203,25 +202,26 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
               proto["source_rate_mhz"] * MHZ)
     dt_values = scenario.values["skl"]["dt_values_s"]
 
-    cases, windows = [], []
+    cases, levels = [], []
     for label, sigma in pointing_levels(scenario):
         # One (n, 3) array per level, from which each of its windows is cut.
         link = np.array(link_timeseries(pass_geometry, build_budget(scenario, sigma), env))
+        levels.append([])
         for dt_half in dt_values:
             with _failure_at(label, dt_half):
-                windows.append(AcquisitionWindow(link, dt_half))
+                levels[-1].append(AcquisitionWindow(link, dt_half))
             cases.append((label, dt_half))
     try:
-        found = optimize_windows(windows, *search)
-    except (ValueError, ArithmeticError):
-        # Name the first window that fails on its own.
-        found = []
-        for (label, dt_half), window in zip(cases, windows):
+        found = optimize_windows(levels, *search)
+    except (ValueError, ArithmeticError) as exc:
+        # Name the first window that fails alone.  Its search alone is not its
+        # part of the stacked one (a level shares seeds), so else report that.
+        for (label, dt_half), window in zip(cases, chain.from_iterable(levels)):
             with _failure_at(label, dt_half):
-                found += optimize_windows([window], *search)
-    rows = [(dt_half, label, result.skl, result.qber_key_basis,
-             result.phase_error_bound, params.mu1, params.mu2, params.px, params.p1,
-             params.p2)
+                optimize_windows([[window]], *search)
+        raise StudyNumericalError(f"skl study failed: {exc}") from exc
+    rows = [(dt_half, label, result.skl, result.qber_key_basis, result.phase_error_bound,
+             params.mu1, params.mu2, params.px, params.p1, params.p2)
             for (label, dt_half), (params, result) in zip(cases, found)]
 
     columns = ("dt_s", "pe_label", "skl_bits", "qber", "phase_err",

@@ -1,7 +1,10 @@
 """Finite-key decoy-state BB84: tallies, bounds, SKL, optimisation."""
 
+import contextlib
+import io
 import math
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skyqlink import finitekey, studies
+from skyqlink import cli, finitekey, studies
 from skyqlink.channel import LinkSample, link_timeseries
 from skyqlink.finitekey import (
     BASIS_X,
@@ -23,12 +26,13 @@ from skyqlink.finitekey import (
     binary_entropy,
     decoy_bounds,
     optimize_params,
+    optimize_windows,
     phase_error,
     simulate_tallies,
     skl,
     skl_batch,
 )
-from skyqlink.scenario import parse_scenario, parse_scenario_text
+from skyqlink.scenario import MHZ, parse_scenario, parse_scenario_text
 from skyqlink.scenarios import bundled_path
 from skyqlink.studies import (
     StudyNumericalError,
@@ -827,22 +831,26 @@ class TestStencilSearch:
     def test_no_unique_call_per_window(self, searched):
         assert searched.unique_calls == 0
 
-    def test_fig2_study_makes_at_most_60_kernel_calls_and_125k_rows(self, monkeypatch):
-        # One grid call per window, then one call per compass level for all
-        # windows together; the 3^5 stencil made 422 calls over 293,467 rows.
-        rows = []
+    def test_fig2_study_makes_at_most_37_kernel_calls_and_45k_rows(self, monkeypatch):
+        # One grid call per PE level, on its widest window; one call that
+        # rescores the level seeds on every window; one grid call per window
+        # whose seeds give no key; then one call per compass level for all
+        # windows together.
+        calls = []
         kernel = finitekey._skl_rows
 
         def counted(tables, index, windows, *args):
             assert index.shape[0] == 6
-            rows.append(index.shape[1])
+            calls.append((index.shape[1], len(set(index[5].tolist()))))
             return kernel(tables, index, windows, *args)
 
         monkeypatch.setattr(finitekey, "_skl_rows", counted)
         run_skl(parse_scenario(bundled_path("fig2_leo_haps")))
-        assert 0 < len(rows) <= 60
-        assert sum(rows) <= 125_000
-        assert max(rows) == finitekey._GRID_POINTS ** 5
+        grids = [n_windows for rows, n_windows in calls if rows == finitekey._GRID_POINTS ** 5]
+        assert 0 < len(calls) <= 37
+        assert sum(rows for rows, _ in calls) <= 45_000
+        assert 0 < len(grids) <= 6
+        assert set(grids) == {1}
 
     def test_fig2_study_tracemalloc_peak_at_most_2_5_mb(self):
         # One window's 3,125-row grid call sets the peak (about 2.1 MB; 1.91
@@ -886,3 +894,80 @@ class TestStencilSearch:
                            match=f"^skl study failed at pe={label} dt_s={dt_half}: "
                                  "secret-key length is not finite$"):
             run_skl(scenario)
+
+    def test_stacked_failure_that_no_window_repeats_alone_exits_3(self, monkeypatch,
+                                                                  tmp_path):
+        # A kernel that fails only on calls over several windows fails the
+        # stacked search and no search alone; the study reports the stacked
+        # failure, not the results of the searches alone.
+        kernel = finitekey._skl_rows
+
+        def failing(tables, index, windows, *args):
+            if len(set(index[5].tolist())) > 1:
+                raise ArithmeticError("secret-key length is not finite")
+            return kernel(tables, index, windows, *args)
+
+        monkeypatch.setattr(finitekey, "_skl_rows", failing)
+        out, stderr = tmp_path / "skl.csv", io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["skl", "--scenario", "fig2_leo_haps", "--out", str(out),
+                             "--svg", str(tmp_path / "skl.svg")])
+        assert code == 3
+        assert stderr.getvalue() == ("numerical failure: skl study failed: "
+                                     "secret-key length is not finite\n")
+        assert list(tmp_path.iterdir()) == []
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def own_grid_best(window, security, box, mu3, source_rate):
+    """The best kernel score of a window's own 3,125-point seeding grid."""
+    axes = np.array([np.linspace(lo, hi, finitekey._GRID_POINTS) for lo, hi in box.as_list()])
+    grid = np.indices((finitekey._GRID_POINTS,) * 5 + (1,)).reshape(6, -1)
+    return int(finitekey._skl_rows(axes, grid, [window], security, mu3, source_rate).max())
+
+
+class TestLevelSeeds:
+    @pytest.mark.parametrize("path", [bundled_path("fig2_leo_haps"),
+                                      GOLDEN / "skl_pass_seed5_study.scn",
+                                      GOLDEN / "skl_pass_seed11_study.scn"],
+                             ids=["fig2", "seed5", "seed11"])
+    def test_no_window_reports_less_than_its_own_grid_best(self, path):
+        scenario = parse_scenario(path)
+        proto = scenario.values["protocol"]
+        search = (build_security(scenario), build_bounds_box(scenario), proto["mu3"],
+                  proto["source_rate_mhz"] * MHZ)
+        rows = iter(run_skl(scenario).rows)
+        for label, sigma in pointing_levels(scenario):
+            link = link_timeseries(build_pass(scenario), build_budget(scenario, sigma),
+                                   build_noise(scenario))
+            for dt_half in scenario.values["skl"]["dt_values_s"]:
+                dt_s, pe_label, skl_bits = next(rows)[:3]
+                assert (pe_label, dt_s) == (label, dt_half)
+                assert skl_bits >= own_grid_best(AcquisitionWindow(link, dt_half), *search)
+
+    def test_fig2_strong_short_windows_keep_their_best_grid_point(self):
+        # Their level seeds give no key, so their own grids seed them, and
+        # they report that grid's best point, which scores 0.
+        rows = {(row[1], row[0]): row
+                for row in run_skl(parse_scenario(bundled_path("fig2_leo_haps"))).rows}
+        for dt_half in (10.0, 20.0):
+            row = rows["strong", dt_half]
+            assert (row[2], row[5:]) == (0, (0.3, 0.05, 0.5, 0.3, 0.1))
+
+    def test_dead_level_scores_the_widest_grid_once_and_each_other_grid(self, monkeypatch):
+        link = flat_link(0.0, 0.0)
+        level = [AcquisitionWindow(link, 20.0), AcquisitionWindow(link, 50.0)]
+        grids = []
+        kernel = finitekey._skl_rows
+
+        def counted(tables, index, windows, *args):
+            if index.shape[1] == finitekey._GRID_POINTS ** 5:
+                grids.append(sorted({windows[w].eta.size for w in index[5].tolist()}))
+            return kernel(tables, index, windows, *args)
+
+        monkeypatch.setattr(finitekey, "_skl_rows", counted)
+        found = optimize_windows([level], SEC)
+        assert grids == [[101], [41]]
+        assert found == [optimize_params(link, dt_half, SEC) for dt_half in (20.0, 50.0)]

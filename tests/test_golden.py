@@ -232,7 +232,8 @@ def test_golden_config_lines_replay_digest():
 
 def _regenerate() -> None:
     """Write the reports at every SIMD level the host dispatches to, check
-    that the levels agree byte for byte, and replace the golden files."""
+    that the levels agree byte for byte, replace the golden files, and list
+    the files that changed, were added or were removed."""
     targets = dispatched_targets()
     levels = {}
     with tempfile.TemporaryDirectory() as scratch:
@@ -249,13 +250,19 @@ def _regenerate() -> None:
         differ = [level for level, files in outputs.items() if files != first]
         if differ:
             raise SystemExit(f"reports differ between SIMD levels: {differ}")
-        for path in [*GOLDEN.glob("*.csv"), *GOLDEN.glob("*.svg")]:
-            path.unlink()
+        old = {path.name: path.read_bytes()
+               for path in [*GOLDEN.glob("*.csv"), *GOLDEN.glob("*.svg")]}
+        for name in old:
+            (GOLDEN / name).unlink()
         for name, data in sorted(first.items()):
             (GOLDEN / name).write_bytes(data)
     RECORD.write_text(json.dumps({"numpy": np.__version__, "simd": list(levels)},
                                  indent=2) + "\n")
     print(f"wrote {len(first)} files for numpy {np.__version__} at {list(levels)}")
+    for verb, names in (("changed", [n for n in first if n in old and old[n] != first[n]]),
+                        ("added", first.keys() - old.keys()),
+                        ("removed", old.keys() - first.keys())):
+        print(f"{verb}: {', '.join(sorted(names)) or 'none'}")
 
 
 if __name__ == "__main__":
