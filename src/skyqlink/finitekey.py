@@ -15,18 +15,17 @@ are deterministic expected values, which keeps the whole pipeline
 reproducible and matches the smooth key-length curves this model is
 meant to generate; no per-pulse sampling is performed.
 
-:func:`skl_batch` scores an ``(N, 5)`` batch of ``(mu1, mu2, px, p1,
-p2)`` vectors over one :class:`AcquisitionWindow`.  Its core takes five
-per-axis value tables and a ``(6, N)`` index: each row's entry in every
-table, then its window, so that one call scores rows of many windows; the
-search builds the index without sorting.  Up to the decoy bounds it
-repeats the scalar ``skl(simulate_tallies(...))`` path's floating-point
-operations in order: each window's sums are one
+The kernel, :func:`_skl_rows`, scores ``(mu1, mu2, px, p1, p2)`` rows
+given as five per-axis value tables and a ``(6, N)`` index: each row's
+entry in every table, then its window, so that one call scores rows of
+many windows; the search builds the index without sorting.  Up to the
+decoy bounds it repeats the scalar ``skl(simulate_tallies(...))`` path's
+floating-point operations in order: each window's sums are one
 :meth:`AcquisitionWindow.sums` call over the intensities its rows read,
 the scalar path's own; ``dt`` and the sample count are read per row;
-exponentials and squares of the parameters are computed once per table
-entry, with the same calls; both bases' bounds are one pass over
-``(basis, intensity, row)`` arrays.  The logarithmic tail is numpy
+``math.exp`` of each intensity is computed once per table entry; every
+square is an IEEE product in both paths; both bases' bounds are one pass
+over ``(basis, intensity, row)`` arrays.  The logarithmic tail is numpy
 expressions over the feasible rows; numpy's SIMD ``log2`` may differ from
 libm's in the last ulp, which can move a row's floats but not its integer
 key length.  Vectors that :class:`ProtocolParams` would reject score -1
@@ -99,7 +98,7 @@ class ProtocolParams:
 
     def tau(self, n: int) -> float:
         """Probability that an emitted pulse carries n photons."""
-        # Plain left-to-right accumulation, which skl_batch repeats exactly
+        # Plain left-to-right accumulation, which _skl_rows repeats exactly
         # (sum() compensates float rounding from Python 3.12 on).
         total = 0.0
         for p, mu in zip(self.probabilities, self.intensities):
@@ -119,6 +118,9 @@ class SecurityParams:
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_sec < 1.0 or not 0.0 < self.eps_cor < 1.0:
             raise ValueError("failure probabilities must be in (0,1)")
+        if self.eps_sec < 1e-150:
+            # (21 / eps_sec) * (21 / eps_sec) in the phase-error bound overflows.
+            raise ValueError(f"eps_sec must be >= 1e-150, got {self.eps_sec}")
         if self.f_ec < 1.0:
             raise ValueError(f"f_ec must be >= 1, got {self.f_ec}")
         if not 0.0 <= self.e_intrinsic < 0.5:
@@ -224,7 +226,7 @@ class AcquisitionWindow:
 def _tallies(params: ProtocolParams, window: AcquisitionWindow,
              security: SecurityParams) -> TallyCounts:
     pulses_per_sample = params.source_rate * window.dt
-    basis_prob = (params.px**2, (1.0 - params.px) ** 2)
+    basis_prob = (params.px * params.px, (1.0 - params.px) * (1.0 - params.px))
     # weight[b][k]: pulses sifted into basis b at intensity k per sample.
     weight = [[pulses_per_sample * basis_prob[b] * p_k for p_k in params.probabilities]
               for b in (BASIS_X, BASIS_Z)]
@@ -304,10 +306,10 @@ def decoy_bounds(tallies: TallyCounts, params: ProtocolParams,
     s0 = tau0 * (mu[1] * n_minus[2] - mu[2] * n_plus[1]) / mu23
     s0 = max(0.0, s0)
 
-    denom = mu12 * mu23 - mu[1] ** 2 + mu[2] ** 2
+    denom = mu12 * mu23 - mu[1] * mu[1] + mu[2] * mu[2]
     s1 = (tau1 * mu12
           * (n_minus[1] - n_plus[2]
-             - (mu[1] ** 2 - mu[2] ** 2) / mu12**2 * (n_plus[0] - s0 / tau0))
+             - (mu[1] * mu[1] - mu[2] * mu[2]) / (mu12 * mu12) * (n_plus[0] - s0 / tau0))
           / denom)
 
     v1 = max(0.0, tau1 * (m_plus[1] - m_minus[2]) / mu23)
@@ -319,7 +321,7 @@ def _gamma_correction(a: float, b: float, c: float, d: float) -> float:
     if b <= 0.0:
         return 0.0
     spread = (c + d) * (1.0 - b) * b
-    log_arg = (c + d) / (c * d * (1.0 - b) * b) * (21.0 / a) ** 2
+    log_arg = (c + d) / (c * d * (1.0 - b) * b) * ((21.0 / a) * (21.0 / a))
     if log_arg <= 1.0:
         return 0.0
     return math.sqrt(spread / (c * d * _LN2) * math.log2(log_arg))
@@ -387,24 +389,10 @@ def _phase_error_rows(s_z1: np.ndarray, v_z1: np.ndarray, s_x1: np.ndarray,
     c, d = s_z1, s_x1
     with np.errstate(all="ignore"):
         spread = (c + d) * (1.0 - b) * b
-        log_arg = (c + d) / (c * d * (1.0 - b) * b) * (21.0 / eps_sec) ** 2
+        log_arg = (c + d) / (c * d * (1.0 - b) * b) * ((21.0 / eps_sec) * (21.0 / eps_sec))
         gamma = np.sqrt(spread / (c * d * _LN2) * np.log2(log_arg))
     phi = b + np.where((b <= 0.0) | (log_arg <= 1.0), 0.0, gamma)
     return np.where(phi < 0.5, phi, 0.5)
-
-
-def skl_batch(vectors: np.ndarray, window: AcquisitionWindow,
-              security: SecurityParams, mu3: float = 0.0,
-              source_rate: float = 2e8) -> np.ndarray:
-    """Secret-key length of each ``(mu1, mu2, px, p1, p2)`` row, in bits.
-
-    Equals ``skl(simulate_tallies(...)).skl`` row by row, with -1 where
-    :class:`ProtocolParams` rejects the vector (p3 = 1 - p1 - p2).
-    """
-    vectors = np.asarray(vectors, dtype=float).reshape(-1, 5)
-    tables, index = zip(*(np.unique(column, return_inverse=True) for column in vectors.T))
-    index = np.stack([*index, np.zeros(len(vectors), dtype=np.intp)])
-    return _skl_rows(tables, index, [window], security, mu3, source_rate)
 
 
 def _window_sums(mu_table: np.ndarray, mu_rows: np.ndarray, window_rows: np.ndarray,
@@ -424,9 +412,10 @@ def _window_sums(mu_table: np.ndarray, mu_rows: np.ndarray, window_rows: np.ndar
 def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray,
               windows: Sequence[AcquisitionWindow], security: SecurityParams,
               mu3: float, source_rate: float) -> np.ndarray:
-    """:func:`skl_batch` of the rows whose value on axis ``a`` is
-    ``tables[a][index[a]]``, over window ``windows[index[5]]``, for five 1-D
-    value tables and a ``(6, N)`` index."""
+    """``skl(simulate_tallies(...)).skl`` of the ``(mu1, mu2, px, p1, p2)``
+    rows whose value on axis ``a`` is ``tables[a][index[a]]``, over window
+    ``windows[index[5]]``, for five 1-D value tables and a ``(6, N)`` index;
+    -1 where :class:`ProtocolParams` rejects the vector (p3 = 1 - p1 - p2)."""
     bits = np.full(index.shape[1], -1, dtype=np.int64)
     if source_rate <= 0:
         return bits
@@ -438,24 +427,23 @@ def _skl_rows(tables: Sequence[np.ndarray], index: np.ndarray,
     if not valid.any():
         return bits
     mu1, mu2, px, p1, p2, p3 = (a[valid] for a in (mu1, mu2, px, p1, p2, p3))
-    mu1_rows, mu2_rows, px_rows = index[:3, valid]
+    mu1_rows, mu2_rows = index[:2, valid]
     window_rows = index[5, valid]
 
-    # Per-intensity and px terms, computed once per table entry.  An entry
-    # that no valid row reads is taken as 0, since its terms may overflow.
+    # Per-intensity exponentials, once per table entry.  An entry that no
+    # valid row reads is taken as 0, since its exponentials may overflow.
     # Arrays below are indexed [intensity, row] or [basis, intensity, row].
     mu_table = np.concatenate([[mu3], tables[0], tables[1]])
     mu_rows = np.array([1 + mu1_rows, 1 + len(tables[0]) + mu2_rows, np.zeros_like(mu1_rows)])
     mu_table = np.where(np.bincount(mu_rows.ravel(), minlength=len(mu_table)), mu_table, 0.0)
-    scalar_terms = [(math.exp(v), math.exp(-v), v**2) for v in mu_table.tolist()]
-    mu, exp_mu, exp_neg, mu_sq = (terms[mu_rows] for terms in np.array(
+    scalar_terms = [(math.exp(v), math.exp(-v)) for v in mu_table.tolist()]
+    mu, exp_mu, exp_neg = (terms[mu_rows] for terms in np.array(
         [mu_table, *zip(*scalar_terms)]))
+    mu_sq = mu * mu
     click, err = _window_sums(mu_table, mu_rows, window_rows, windows,
                               security.e_intrinsic)
     prob = np.array([p1, p2, p3])
-    px_table = np.where(np.bincount(px_rows, minlength=len(tables[2])), tables[2], 0.0)
-    px_terms = [(x**2, (1.0 - x) ** 2) for x in px_table.tolist()]
-    basis_prob = np.array(px_terms).T[:, px_rows]
+    basis_prob = np.array([px * px, (1.0 - px) * (1.0 - px)])
 
     # Tallies, as _tallies builds them, from each row's window's pulses per
     # sample and sample count.

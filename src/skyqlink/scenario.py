@@ -52,7 +52,7 @@ def _at_most(cap: float, low: Callable[[float], str | None]
 
 
 def _intensity(v: float) -> str | None:
-    # Smaller intensities underflow mu1**2 and the decoy-bound denominator.
+    # Smaller intensities underflow mu1 * mu1 and the decoy-bound denominator.
     return None if v >= 1e-6 else "must be >= 1e-06"
 
 

@@ -30,7 +30,6 @@ from skyqlink.finitekey import (
     phase_error,
     simulate_tallies,
     skl,
-    skl_batch,
 )
 from skyqlink.scenario import MHZ, parse_scenario, parse_scenario_text
 from skyqlink.scenarios import bundled_path
@@ -209,6 +208,13 @@ class TestPhaseError:
         got = phase_error(c, b * c, d, SecurityParams(eps_sec=a))
         assert got == pytest.approx(b + expected_gamma, rel=1e-9)
 
+    def test_security_budget_whose_square_overflows_is_rejected(self):
+        # (21 / 1e-153)**2 overflows: the phase-error bound would read inf
+        # and cap phi at 1/2, although gamma itself is finite.
+        assert phase_error(1e6, 2e4, 1e6, SecurityParams(eps_sec=1e-150)) < 0.5
+        with pytest.raises(ValueError, match="eps_sec must be >= 1e-150"):
+            SecurityParams(eps_sec=1e-153)
+
     def test_domain(self):
         with pytest.raises(ValueError):
             phase_error(0.0, 0.0, 1e6, SEC)
@@ -374,6 +380,15 @@ def scalar_bits(vec, link, window_half, security, mu3=0.0):
                params, security).skl
 
 
+def skl_batch(vectors, window, security, mu3=0.0):
+    """The kernel over one window, each ``(mu1, mu2, px, p1, p2)`` row its
+    own table entry."""
+    vectors = np.asarray(vectors, dtype=float).reshape(-1, 5)
+    index = np.tile(np.arange(len(vectors)), (6, 1))
+    index[5] = 0
+    return finitekey._skl_rows(vectors.T, index, [window], security, mu3, 2e8)
+
+
 # Vectors inside the default BoundsBox (mostly valid), plus values at and
 # beyond its edges so that rows with p3 <= 0, mu1 <= mu2, mu2 <= mu3 and
 # px in {0, 1} all occur.
@@ -514,6 +529,36 @@ class TestSklBatch:
                                    [0.8, 0.1, 0.7, 0.6, 0.5]]),
                          AcquisitionWindow(flat_link(1e-3), 50.0), SEC)
         assert bits.tolist() == [-1, -1]
+
+
+# Doubles whose square by glibc 2.36's pow (x**2) differs from x * x: the
+# first px and both intensities in x itself, the second px in 1 - x.
+_PX_POW_DIFFERS = [float.fromhex("0x1.0eb3c320f3baap-1"),
+                   float.fromhex("0x1.2bcadbe4779dcp-1")]
+_MU2_POW_DIFFERS = float.fromhex("0x1.6692a50e6714ep-3")
+_MU1_POW_DIFFERS = float.fromhex("0x1.9eeab4099c992p-1")
+
+
+class TestSquaresAreProducts:
+    @pytest.mark.parametrize("px", _PX_POW_DIFFERS)
+    def test_sifted_pulses_square_px_as_a_product(self, px):
+        params = ProtocolParams(mu1=0.8, mu2=0.1, p1=0.6, p2=0.25, p3=0.15, px=px)
+        link = flat_link(2e-4, 1e-7)
+        sent = simulate_tallies(params, link, 100.0, SEC).sent
+        window = AcquisitionWindow(link, 100.0)
+        pulses, n = params.source_rate * window.dt, len(window.eta)
+        assert sent[BASIS_X].tolist() == [pulses * (px * px) * p_k * n
+                                          for p_k in params.probabilities]
+        assert sent[BASIS_Z].tolist() == [pulses * ((1.0 - px) * (1.0 - px)) * p_k * n
+                                          for p_k in params.probabilities]
+
+    def test_kernel_matches_the_scalar_path(self):
+        link = flat_link(2e-4, 1e-7)
+        vectors = [(mu1, mu2, px, 0.6, 0.25) for mu1 in (_MU1_POW_DIFFERS, 0.8)
+                   for mu2 in (_MU2_POW_DIFFERS, 0.1) for px in _PX_POW_DIFFERS]
+        bits = skl_batch(vectors, AcquisitionWindow(link, 100.0), SEC)
+        assert bits.tolist() == [scalar_bits(v, link, 100.0, SEC) for v in vectors]
+        assert (bits > 0).all()
 
 
 @st.composite

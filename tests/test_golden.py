@@ -27,6 +27,7 @@ import io
 import json
 import math
 import os
+import platform
 import re
 import subprocess
 import sys
@@ -146,12 +147,15 @@ def svg_cell_problems(golden: str, fresh: str) -> list[str]:
 
 
 def golden_mode() -> tuple[bool, str]:
-    """Whether this process compares bytes exactly, and a line saying so."""
+    """Whether this process compares bytes exactly, and a line saying so.
+    The line also names the C library, whose libm the scalar path calls;
+    the mode does not depend on it."""
     record = json.loads(RECORD.read_text())
     host = {"numpy": np.__version__, "simd": simd_level()}
     exact = host["numpy"] == record["numpy"] and host["simd"] in record["simd"]
+    libc = " ".join(platform.libc_ver()).strip() or "unknown libc"
     return exact, (f"golden reports: {'exact' if exact else 'cell'} mode "
-                   f"(numpy {host['numpy']}, {host['simd']})")
+                   f"(numpy {host['numpy']}, {host['simd']}, {libc})")
 
 
 def check_reports(out_dir: Path, exact: bool) -> None:

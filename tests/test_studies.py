@@ -516,8 +516,10 @@ class TestCli:
                                    "tx_altitude_km = 1e-12"), 3),
         ("turbulence", FIG4_TEXT.replace("tx_altitude_km = 535",
                                          "tx_altitude_km = 1e-12"), 3),
+        ("skl", "[security]\neps_sec = 1e-300\n", 3),
     ], ids=["tiny-intensity", "huge-altitude", "fig4-huge-cn2",
-            "fig4-tiny-altitude-pass", "fig4-tiny-altitude-turbulence"])
+            "fig4-tiny-altitude-pass", "fig4-tiny-altitude-turbulence",
+            "tiny-security-budget"])
     def test_extreme_values_fail_cleanly(self, tmp_path, study, text, code):
         scenario, out = tmp_path / "case.scn", tmp_path / "out.csv"
         scenario.write_text(text)
