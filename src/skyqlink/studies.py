@@ -5,7 +5,8 @@ Each ``run_*`` function turns a resolved scenario into a deterministic
 metadata lines that echo every resolved configuration value (so a report
 header replayed as a scenario reproduces the report byte for byte).
 Every study runs in the calling thread, and evaluates each quantity over
-its whole sweep in one array call rather than point by point.
+its whole sweep in one array call rather than point by point.  ``skl`` and
+``turbulence`` import their physics (``finitekey``, ``atmosphere``) as they run.
 """
 
 from __future__ import annotations
@@ -20,16 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .atmosphere import (
-    SlantPath,
-    TurbulenceProfile,
-    fried_r0,
-    greenwood_frequency,
-    scintillation_index,
-)
 from .channel import LinkBudget, NoiseEnvironment, link_timeseries, system_loss
 from .entanglement import fidelity_sweep
-from .finitekey import AcquisitionWindow, BoundsBox, SecurityParams, optimize_windows
 from .geometry import (
     PassGeometry,
     propagate_pass,
@@ -126,17 +119,20 @@ def build_noise(scenario: Scenario) -> NoiseEnvironment:
 
 
 def build_security(scenario: Scenario) -> SecurityParams:
+    from .finitekey import SecurityParams
     # The section's keys are the dataclass's fields by name.
     return SecurityParams(**scenario.values["security"])
 
 
 def build_bounds_box(scenario: Scenario) -> BoundsBox:
+    from .finitekey import BoundsBox
     opt = scenario.values["optimizer"]
     return BoundsBox(**{name: (opt[f"{name}_min"], opt[f"{name}_max"])
                         for name in ("mu1", "mu2", "px", "p1", "p2")})
 
 
 def build_turbulence_profile(scenario: Scenario) -> TurbulenceProfile:
+    from .atmosphere import TurbulenceProfile
     turb = scenario.values["turbulence"]
     if turb["slew_mode"] == "pass_peak":
         slew = build_pass(scenario).peak_slew_rad_s
@@ -195,6 +191,7 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
     All windows are searched together in a few array kernel calls, each
     PE level's from one grid on its widest window; ``threads`` has no effect.
     """
+    from .finitekey import AcquisitionWindow, optimize_windows
     pass_geometry = build_pass(scenario)
     env = build_noise(scenario)
     proto = scenario.values["protocol"]
@@ -268,6 +265,7 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
 def run_turbulence(scenario: Scenario) -> StudyReport:
     """Greenwood frequency, Fried length and SI on a zenith x wavelength
     mesh: one array evaluation, and so one height integral, per metric."""
+    from .atmosphere import SlantPath, fried_r0, greenwood_frequency, scintillation_index
     turb = scenario.values["turbulence"]
     sec_pass = scenario.values["pass"]
     profile = build_turbulence_profile(scenario)

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from skyqlink import cli, finitekey, studies
+from skyqlink import cli, finitekey
 from skyqlink.channel import LinkSample, link_timeseries
 from skyqlink.finitekey import (
     BASIS_X,
@@ -931,7 +931,7 @@ class TestStencilSearch:
                 raise ArithmeticError("secret-key length is not finite")
             return kernel(tables, index, windows, *args)
 
-        monkeypatch.setattr(studies, "AcquisitionWindow", Recorded)
+        monkeypatch.setattr(finitekey, "AcquisitionWindow", Recorded)
         monkeypatch.setattr(finitekey, "_skl_rows", failing)
         label = pointing_levels(scenario)[1][0]
         dt_half = scenario.values["skl"]["dt_values_s"][3]

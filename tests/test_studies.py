@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skyqlink import cli, entanglement, studies, svg
+from skyqlink import atmosphere, cli, entanglement, studies, svg
 from skyqlink.scenario import (
     SCHEMA,
     ScenarioError,
@@ -128,8 +128,8 @@ class TestRunTurbulence:
             warnings.warn("unrelated", UserWarning)
             return fried_r0(*args, **kwargs)
 
-        fried_r0 = studies.fried_r0
-        monkeypatch.setattr(studies, "fried_r0", noisy_fried_r0)
+        fried_r0 = atmosphere.fried_r0
+        monkeypatch.setattr(atmosphere, "fried_r0", noisy_fried_r0)
         with pytest.warns(UserWarning, match="unrelated"):
             report = run_turbulence(parse_scenario_text(""))
         assert not any("scintillation" in w for w in report.warnings)
@@ -139,7 +139,7 @@ class TestRunTurbulence:
                                "scintillation_index"), 0)
 
         def counting(name):
-            metric = getattr(studies, name)
+            metric = getattr(atmosphere, name)
 
             def counted(*args, **kwargs):
                 calls[name] += 1
@@ -147,7 +147,7 @@ class TestRunTurbulence:
             return counted
 
         for name in calls:
-            monkeypatch.setattr(studies, name, counting(name))
+            monkeypatch.setattr(atmosphere, name, counting(name))
         report = run_turbulence(FIG4)
         assert len(report.rows) == 33 * 2
         assert calls == {"fried_r0": 1, "greenwood_frequency": 1,
@@ -464,6 +464,43 @@ class TestNoScipy:
         proc = subprocess.run([sys.executable, "-c", NO_SCIPY_RUN, str(tmp_path)],
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
+
+
+# Run in a fresh interpreter, since this one has imported every module: print
+# which physics modules the CLI import loads, then which one study adds.
+PHYSICS_LOADED_RUN = """
+import sys
+
+from skyqlink import cli
+
+
+def physics():
+    return sorted(m for m in ("skyqlink.atmosphere", "skyqlink.finitekey")
+                  if m in sys.modules)
+
+
+print(physics())
+code = cli.main(sys.argv[2:] + ["--out", sys.argv[1] + "/report.csv",
+                                "--svg", sys.argv[1] + "/figure.svg"])
+assert code == 0, code
+print(physics())
+"""
+
+
+class TestColdImports:
+    @pytest.mark.parametrize("args, loaded", [
+        (["pass", "--scenario", "fig3_haps_laps"], []),
+        (["fidelity", "--scenario", "fig3_haps_laps"], []),
+        (["plot", "--study", "pass", "--scenario", "fig3_haps_laps"], []),
+        (["turbulence", "--scenario", "fig4_leo_ground"], ["skyqlink.atmosphere"]),
+        (["skl", "--scenario", "fig2_leo_haps"], ["skyqlink.finitekey"]),
+    ], ids=["pass", "fidelity", "plot", "turbulence", "skl"])
+    def test_only_the_study_run_loads_its_physics(self, tmp_path, args, loaded):
+        proc = subprocess.run([sys.executable, "-c", PHYSICS_LOADED_RUN,
+                               str(tmp_path), *args],
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == ["[]", repr(loaded)]
 
 
 class TestCli:
