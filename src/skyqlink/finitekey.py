@@ -212,14 +212,20 @@ class AcquisitionWindow:
         keep = np.abs(t) <= window_half + 1e-9
         self.eta = eta[keep]
         self.p_noise = 1.0 - np.exp(-n_b[keep])
+        self._no_noise = 1.0 - 2.0 * self.p_noise
         self.dt = dt
 
     def sums(self, mu: np.ndarray, e_intrinsic: float) -> tuple[np.ndarray, np.ndarray]:
         """Window sums of the click and error probabilities at each intensity
         in ``mu``, each bit-equal to the 1-D sum over that intensity's row."""
-        no_signal = np.exp(-np.multiply.outer(mu, self.eta))
-        click = 1.0 - (1.0 - 2.0 * self.p_noise) * no_signal
-        err = (1.0 - no_signal) * e_intrinsic + no_signal * self.p_noise
+        # (-mu) * eta is -(mu * eta) bit for bit; the passes run in place.
+        no_signal = np.multiply.outer(np.negative(mu), self.eta)
+        np.exp(no_signal, out=no_signal)
+        click = self._no_noise * no_signal
+        err = np.subtract(1.0, no_signal)
+        err *= e_intrinsic
+        err += np.multiply(no_signal, self.p_noise, out=no_signal)
+        np.subtract(1.0, click, out=click)
         return np.add.reduce(click, axis=-1), np.add.reduce(err, axis=-1)
 
 

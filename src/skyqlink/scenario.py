@@ -14,8 +14,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from types import MappingProxyType
+from typing import Any, Callable, Iterable, Mapping
 
 
 class ScenarioError(ValueError):
@@ -232,29 +234,39 @@ def _format_value(value: Any) -> str:
 
 @dataclass(frozen=True)
 class Scenario:
-    """Resolved configuration: raw file-unit values plus default tracking."""
+    """Resolved configuration: raw file-unit values, frozen into nested mapping
+    proxies, plus default tracking; its listing, digest and config lines are cached."""
 
-    values: dict[str, dict[str, Any]]
+    values: Mapping[str, Mapping[str, Any]]
     defaulted: frozenset[tuple[str, str]]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "values", MappingProxyType(
+            {section: MappingProxyType(dict(keys)) for section, keys in self.values.items()}))
 
     def get(self, section: str, key: str) -> Any:
         return self.values[section][key]
 
+    @cached_property
     def _listing(self) -> list[tuple[str, str, str]]:
         """``(section, key, formatted value)`` of every resolved key, sorted."""
         return [(section, key, _format_value(value)) for section in sorted(self.values)
                 for key, value in sorted(self.values[section].items())]
 
-    @property
+    @cached_property
     def digest(self) -> str:
-        lines = "\n".join(f"{s}.{k}={v}" for s, k, v in self._listing())
+        lines = "\n".join(f"{s}.{k}={v}" for s, k, v in self._listing)
         return hashlib.sha256(lines.encode()).hexdigest()
+
+    @cached_property
+    def _config_lines(self) -> tuple[str, ...]:
+        return tuple(f"{s}.{k} = {v}" + ("  # default" if (s, k) in self.defaulted else "")
+                     for s, k, v in self._listing)
 
     def config_lines(self) -> list[str]:
         """One line per resolved key, defaulted ones marked; round-trips
         through :func:`scenario_from_config_lines`."""
-        return [f"{s}.{k} = {v}" + ("  # default" if (s, k) in self.defaulted else "")
-                for s, k, v in self._listing()]
+        return list(self._config_lines)
 
 
 def _validate_cross_keys(values: dict[str, dict[str, Any]]) -> None:

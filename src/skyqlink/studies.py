@@ -58,8 +58,7 @@ class StudyReport:
         out.append(",".join(self.columns))
         if self.rows:
             # One ``%`` format for the whole table.  A column holds one type
-            # (float, int or text), so its first cell picks "%.9g" or "%s", as
-            # in ``_report``'s finite-value scan.
+            # (float, int or text), so its first cell picks "%.9g" or "%s".
             line = ",".join(["%.9g" if isinstance(v, float) else "%s"
                              for v in self.rows[0]])
             out.append("\n".join([line] * len(self.rows))
@@ -145,13 +144,14 @@ def build_turbulence_profile(scenario: Scenario) -> TurbulenceProfile:
         slew_rate=slew)
 
 
-def _report(scenario: Scenario, study: str, columns: tuple[str, ...],
-            rows: list[tuple], warns: Sequence[str] = ()) -> StudyReport:
-    # Scanned column by column, which costs a quarter of a per-cell loop.
-    for column, values in zip(columns, zip(*rows)):
-        if isinstance(values[0], float) and not all(map(math.isfinite, values)):
-            raise StudyNumericalError(f"{study} study produced a non-finite {column}")
-    return StudyReport(study=study, digest=scenario.digest, columns=columns,
+def _report(scenario: Scenario, study: str, columns: dict[str, np.ndarray | list],
+            warns: Sequence[str] = ()) -> StudyReport:
+    """Report ``columns`` in order: name -> finite float array, or list of int or str."""
+    for name, cells in columns.items():
+        if isinstance(cells, np.ndarray) and not np.isfinite(cells).all():
+            raise StudyNumericalError(f"{study} study produced a non-finite {name}")
+    rows = zip(*[c.tolist() if isinstance(c, np.ndarray) else c for c in columns.values()])
+    return StudyReport(study=study, digest=scenario.digest, columns=tuple(columns),
                        rows=tuple(rows), warnings=tuple(warns),
                        config_lines=tuple(scenario.config_lines()))
 
@@ -168,11 +168,9 @@ def run_pass(scenario: Scenario) -> StudyReport:
         loss_db = system_loss(build_budget(scenario, sigma), geo.range_m).db
     except (ValueError, ArithmeticError) as exc:
         raise StudyNumericalError(f"pass study failed: {exc}") from exc
-    columns = ("t_s", "elevation_deg", "range_km", "slew_rad_s", "eta_sys_db")
-    rows = list(zip(geo.t_s.tolist(), np.degrees(geo.elevation_rad).tolist(),
-                    (geo.range_m / KM).tolist(), geo.slew_rad_s.tolist(),
-                    loss_db.tolist()))
-    return _report(scenario, "pass", columns, rows)
+    return _report(scenario, "pass", {
+        "t_s": geo.t_s, "elevation_deg": np.degrees(geo.elevation_rad),
+        "range_km": geo.range_m / KM, "slew_rad_s": geo.slew_rad_s, "eta_sys_db": loss_db})
 
 
 @contextmanager
@@ -217,13 +215,13 @@ def run_skl(scenario: Scenario, threads: int = 1) -> StudyReport:
             with _failure_at(label, dt_half):
                 optimize_windows([[window]], *search)
         raise StudyNumericalError(f"skl study failed: {exc}") from exc
-    rows = [(dt_half, label, result.skl, result.qber_key_basis, result.phase_error_bound,
-             params.mu1, params.mu2, params.px, params.p1, params.p2)
-            for (label, dt_half), (params, result) in zip(cases, found)]
-
-    columns = ("dt_s", "pe_label", "skl_bits", "qber", "phase_err",
-               "mu1", "mu2", "px", "p1", "p2")
-    return _report(scenario, "skl", columns, rows)
+    (labels, dts), (params, results) = zip(*cases), zip(*found)
+    return _report(scenario, "skl", {
+        "dt_s": np.array(dts), "pe_label": list(labels), "skl_bits": [r.skl for r in results],
+        "qber": np.array([r.qber_key_basis for r in results]),
+        "phase_err": np.array([r.phase_error_bound for r in results]),
+        **{name: np.array([getattr(p, name) for p in params])
+           for name in ("mu1", "mu2", "px", "p1", "p2")}})
 
 
 def run_fidelity(scenario: Scenario) -> StudyReport:
@@ -241,25 +239,23 @@ def run_fidelity(scenario: Scenario) -> StudyReport:
     grid = np.logspace(math.log10(fid["radiance_min_w_m2_nm_sr"]),
                        math.log10(fid["radiance_max_w_m2_nm_sr"]),
                        fid["radiance_points"])
-    radiances = grid.tolist()
-    divergences = (link["divergence_urad"] * URAD,
-                   link["compare_divergence_urad"] * URAD)
-
-    columns = ("radiance", "pe_label", "divergence_rad", "fidelity", "q_a", "q_b")
-    rows = []
-    for label, sigma in pointing_levels(scenario):
-        for divergence in divergences:
-            budget = build_budget(scenario, sigma, divergence_rad=divergence)
-            try:
-                q, fidelity = fidelity_sweep(budget, range_m, env, ent["pair_mean"], grid)
-            except (ValueError, ArithmeticError) as exc:
-                raise StudyNumericalError(
-                    f"fidelity study failed at pe={label} "
-                    f"divergence={divergence}: {exc}") from exc
-            # Both arms are alike, so the one q fills both columns.
-            rows += [(h_b, label, divergence, f, q_h, q_h)
-                     for h_b, f, q_h in zip(radiances, fidelity.tolist(), q.tolist())]
-    return _report(scenario, "fidelity", columns, rows)
+    divergences = (link["divergence_urad"] * URAD, link["compare_divergence_urad"] * URAD)
+    cases = [(label, sigma, d) for label, sigma in pointing_levels(scenario) for d in divergences]
+    sweeps = []
+    for label, sigma, divergence in cases:
+        budget = build_budget(scenario, sigma, divergence_rad=divergence)
+        try:
+            sweeps.append(fidelity_sweep(budget, range_m, env, ent["pair_mean"], grid))
+        except (ValueError, ArithmeticError) as exc:
+            raise StudyNumericalError(
+                f"fidelity study failed at pe={label} divergence={divergence}: {exc}") from exc
+    q, fidelity = (np.concatenate(arrays) for arrays in zip(*sweeps))
+    # Both arms are alike, so the one q fills both columns.
+    return _report(scenario, "fidelity", {
+        "radiance": np.tile(grid, len(cases)),
+        "pe_label": [label for label, _, _ in cases for _ in range(len(grid))],
+        "divergence_rad": np.repeat([d for *_, d in cases], len(grid)),
+        "fidelity": fidelity, "q_a": q, "q_b": q})
 
 
 def run_turbulence(scenario: Scenario) -> StudyReport:
@@ -287,12 +283,12 @@ def run_turbulence(scenario: Scenario) -> StudyReport:
             f"turbulence study failed for pass.rx_altitude_km = {sec_pass['rx_altitude_km']:.6g}"
             f" and turbulence.h_cap_km = {turb['h_cap_km']:.6g}: {exc}") from exc
 
-    columns = ("zenith_deg", "wavelength_nm", "greenwood_hz", "fried_m", "si")
-    rows = list(zip(*(a.ravel().tolist() for a in (zen_deg, wl_nm, f_g, r0, si))))
+    names = ("zenith_deg", "wavelength_nm", "greenwood_hz", "fried_m", "si")
+    columns = dict(zip(names, (a.ravel() for a in (zen_deg, wl_nm, f_g, r0, si))))
     warns = [f"scintillation index leaves the weak-fluctuation regime "
-             f"from zenith_deg={rows[i][0]:.6g} wavelength_nm={rows[i][1]:.6g}"
-             for i in np.flatnonzero(si.ravel() >= 1.0)[:1]]
-    return _report(scenario, "turbulence", columns, rows, warns)
+             f"from zenith_deg={zen_deg.flat[i]:.6g} wavelength_nm={wl_nm.flat[i]:.6g}"
+             for i in np.flatnonzero(columns["si"] >= 1.0)[:1]]
+    return _report(scenario, "turbulence", columns, warns)
 
 
 STUDIES = {

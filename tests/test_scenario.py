@@ -1,7 +1,10 @@
 """Scenario parsing, defaults, diagnostics, digest, metadata round-trip."""
 
+import dataclasses
+
 import pytest
 
+from skyqlink import scenario, studies
 from skyqlink.scenario import (
     ScenarioError,
     parse_scenario,
@@ -188,6 +191,57 @@ class TestDigestAndRoundTrip:
         lines = [f"# config {ln}" for ln in scn.config_lines()]
         rebuilt = scenario_from_config_lines(lines)
         assert rebuilt.digest == scn.digest
+
+
+class TestReadOnly:
+    def test_values_cannot_be_assigned(self):
+        scn = parse_scenario_text("")
+        with pytest.raises(TypeError):
+            scn.values["pass"]["tx_altitude_km"] = 400.0
+        with pytest.raises(TypeError):
+            scn.values["pass"] = {}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scn.values = {}
+        assert scn.get("pass", "tx_altitude_km") == 535.0
+
+    def test_metadata_is_derived_once_per_object(self, monkeypatch):
+        calls = []
+        real = scenario._format_value
+        monkeypatch.setattr(scenario, "_format_value",
+                            lambda value: calls.append(value) or real(value))
+        scn = parse_scenario_text("[pass]\nhorizon_elevation_deg = 60\nsample_interval_s = 5\n")
+        digest = scn.digest
+        first = len(calls)
+        # One call per key, and one more per element of a list value.
+        assert first >= sum(len(keys) for keys in scn.values.values())
+        lines = scn.config_lines()
+        assert len(calls) == first
+        report = studies.run_study("pass", scn)
+        assert scn.digest == digest == report.digest
+        assert scn.config_lines() == lines == list(report.config_lines)
+        assert len(calls) == first
+
+    def test_config_lines_are_a_fresh_list(self):
+        scn = parse_scenario_text("")
+        scn.config_lines().append("pass.extra = 1")
+        assert scn.config_lines() == parse_scenario_text("").config_lines()
+
+    def test_replace_derives_its_own_metadata(self):
+        scn = parse_scenario_text("[pass]\ntx_altitude_km = 500\n")
+        digest, lines = scn.digest, scn.config_lines()
+        values = {section: dict(keys) for section, keys in scn.values.items()}
+        values["pass"]["tx_altitude_km"] = 600.0
+        other = dataclasses.replace(scn, values=values)
+        with pytest.raises(TypeError):
+            other.values["pass"]["tx_altitude_km"] = 700.0
+        values["pass"]["tx_altitude_km"] = 700.0   # the caller's dict is copied
+        assert other.get("pass", "tx_altitude_km") == 600.0
+        assert (scn.digest, scn.config_lines()) == (digest, lines)
+        assert other.digest != digest
+        assert other.digest == parse_scenario_text("[pass]\ntx_altitude_km = 600\n").digest
+        changed = [(a, b) for a, b in zip(lines, other.config_lines()) if a != b]
+        assert len(other.config_lines()) == len(lines)
+        assert changed == [("pass.tx_altitude_km = 500.0", "pass.tx_altitude_km = 600.0")]
 
 
 class TestBundledScenarios:

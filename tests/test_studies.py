@@ -233,6 +233,48 @@ class TestReportSerialisation:
         assert report.to_csv() == csv_oracle(report)
 
 
+class TestColumnReports:
+    def test_skl_cells_keep_their_types(self):
+        report = run_skl(parse_scenario_text(
+            "[link]\npointing_levels = weak, strong\n[skl]\ndt_values_s = 10, 20\n"))
+        types = [{type(v) for v in column} for column in zip(*report.rows)]
+        assert types == [{float}, {str}, {int}] + [{float}] * 7
+        assert [row[:2] for row in report.rows] == [
+            (10.0, "weak"), (20.0, "weak"), (10.0, "strong"), (20.0, "strong")]
+        assert report.to_csv() == csv_oracle(report)
+
+    def test_nan_in_pass_names_its_column(self, monkeypatch):
+        real = studies.system_loss
+
+        def with_nan(budget, range_m):
+            loss = real(budget, range_m)
+            db = loss.db.copy()
+            db[len(db) // 2] = np.nan
+            return loss._replace(db=db)
+        monkeypatch.setattr(studies, "system_loss", with_nan)
+        with pytest.raises(StudyNumericalError,
+                           match="^pass study produced a non-finite eta_sys_db$"):
+            run_pass(FAST_PASS)
+
+    def test_nan_in_fidelity_names_its_column(self, monkeypatch):
+        # A NaN q in the last (level, divergence) sweep reaches fidelity, the
+        # first column it fills.
+        real = entanglement.signal_fraction
+        calls = []
+
+        def with_nan(*args):
+            q = real(*args)
+            calls.append(q)
+            if len(calls) == 2 * len(FIG3.get("link", "pointing_levels")):
+                q = q.copy()
+                q[len(q) // 2] = np.nan
+            return q
+        monkeypatch.setattr(entanglement, "signal_fraction", with_nan)
+        with pytest.raises(StudyNumericalError,
+                           match="^fidelity study produced a non-finite fidelity$"):
+            run_fidelity(FIG3)
+
+
 def csv_oracle(report):
     """Per-cell CSV: "{:.9g}" for a float column, ``str`` for any other."""
     cell = ["{:.9g}".format if isinstance(v, float) else str for v in report.rows[0]]
