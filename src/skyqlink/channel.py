@@ -74,7 +74,8 @@ class NoiseEnvironment:
 
     ``spectral_radiance`` is in W m^-2 nm^-1 sr^-1, ``fov`` the receiver
     field of view in sr, ``filter_bandwidth`` in nm, ``gate_time`` in s,
-    ``dark_count_rate`` in Hz per detector.
+    ``dark_count_rate`` in Hz per detector.  Only ``spectral_radiance`` may
+    be an array, as in a radiance sweep; the other fields are floats.
     """
 
     spectral_radiance: float = 0.0
@@ -84,9 +85,10 @@ class NoiseEnvironment:
     dark_count_rate: float = 200.0
 
     def __post_init__(self) -> None:
-        for name in ("spectral_radiance", "fov", "filter_bandwidth",
-                     "gate_time", "dark_count_rate"):
-            if np.any(np.asarray(getattr(self, name)) < 0):
+        if np.any(np.asarray(self.spectral_radiance) < 0):
+            raise ValueError("spectral_radiance must be >= 0")
+        for name in ("fov", "filter_bandwidth", "gate_time", "dark_count_rate"):
+            if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 
 

@@ -4,9 +4,11 @@ Flat sectioned key-value text: ``[section]`` headers, ``key = value``
 pairs, ``#`` comments, with SI-scale suffixes carried in the key names
 (``_km``, ``_urad``, ``_mhz``...).  Unknown sections or keys are errors,
 not warnings; every key has a default so an empty file resolves to the
-default LEO-to-HAPS scenario.  A resolved scenario carries a stable
-content digest and can be serialised into report metadata lines that
-parse back into an identical scenario.
+default LEO-to-HAPS scenario.  :data:`SCHEMA` gives each key its default,
+whose type is the key's type, and its check; each ``X_min`` must lie
+below its ``X_max`` twin.  A resolved scenario carries a stable content
+digest and can be serialised into report metadata lines that parse back
+into an identical scenario.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Iterable, Mapping, NamedTuple
 
 
 class ScenarioError(ValueError):
@@ -68,6 +70,11 @@ def _angle_deg(v: float) -> str | None:
     return None if 0.0 <= v <= 90.0 else "must be in [0, 90] degrees"
 
 
+def _zenith_deg(v: float) -> str | None:
+    # At 90 degrees the path lies along the horizon: its slant range and air mass diverge.
+    return _angle_deg(v) or (None if v < 90.0 else "must be < 90")
+
+
 def _choice(*allowed: str) -> Callable[[str], str | None]:
     def check(v: str) -> str | None:
         return None if v in allowed else f"must be one of {allowed}"
@@ -75,10 +82,11 @@ def _choice(*allowed: str) -> Callable[[str], str | None]:
 
 
 def _level_list(v: tuple[str, ...]) -> str | None:
-    allowed = {"weak", "moderate", "strong"}
+    # Each level is named by its [link] <level>_sigma_urad key.
+    allowed = [k.removesuffix("_sigma_urad") for k in SCHEMA["link"] if k.endswith("_sigma_urad")]
     bad = [x for x in v if x not in allowed]
     if bad:
-        return f"unknown pointing level(s) {bad}; allowed: weak, moderate, strong"
+        return f"unknown pointing level(s) {bad}; allowed: {', '.join(allowed)}"
     if not v:
         return "must list at least one pointing level"
     return None if len(set(v)) == len(v) else "must list each pointing level once"
@@ -99,129 +107,112 @@ def _window_list(v: tuple[float, ...]) -> str | None:
     return _float_list_increasing(v) or (None if len(v) <= 100 else "must list <= 100 values")
 
 
-@dataclass(frozen=True)
-class _Key:
+class _Key(NamedTuple):
     default: Any
-    kind: str  # float | int | str | float_list | str_list
-    check: Callable[[Any], str | None] | None = None
+    check: Callable[[Any], str | None]
 
 
 SCHEMA: dict[str, dict[str, _Key]] = {
     "pass": {
-        "geometry": _Key("orbital", "str", _choice("orbital", "static")),
-        "tx_altitude_km": _Key(535.0, "float", _at_most(1e5, _positive)),
-        "rx_altitude_km": _Key(20.0, "float", _at_most(1e5, _non_negative)),
-        "max_elevation_deg": _Key(90.0, "float", _angle_deg),
-        "horizon_elevation_deg": _Key(10.0, "float", _angle_deg),
-        "sample_interval_s": _Key(1.0, "float", _positive),
-        "static_zenith_deg": _Key(40.0, "float", _angle_deg),
-        "static_duration_s": _Key(60.0, "float", _positive),
+        "geometry": _Key("orbital", _choice("orbital", "static")),
+        "tx_altitude_km": _Key(535.0, _at_most(1e5, _positive)),
+        "rx_altitude_km": _Key(20.0, _at_most(1e5, _non_negative)),
+        "max_elevation_deg": _Key(90.0, _angle_deg),
+        "horizon_elevation_deg": _Key(10.0, _angle_deg),
+        "sample_interval_s": _Key(1.0, _positive),
+        "static_zenith_deg": _Key(40.0, _zenith_deg),
+        "static_duration_s": _Key(60.0, _positive),
     },
     "link": {
-        "wavelength_nm": _Key(810.0, "float", _positive),
-        "divergence_urad": _Key(33.0, "float", _positive),
-        "compare_divergence_urad": _Key(1000.0, "float", _positive),
-        "tx_aperture_cm": _Key(9.0, "float", _positive),
-        "rx_aperture_cm": _Key(35.0, "float", _positive),
-        "pointing_levels": _Key(("weak",), "str_list", _level_list),
+        "wavelength_nm": _Key(810.0, _positive),
+        "divergence_urad": _Key(33.0, _positive),
+        "compare_divergence_urad": _Key(1000.0, _positive),
+        "tx_aperture_cm": _Key(9.0, _positive),
+        "rx_aperture_cm": _Key(35.0, _positive),
+        "pointing_levels": _Key(("weak",), _level_list),
         # Only the weak sigma is a quoted hardware figure (a 3.3 urad fine-tracking
         # residual); moderate and strong stand for coarse-only and unstabilised platforms.
-        "weak_sigma_urad": _Key(3.3, "float", _non_negative),
-        "moderate_sigma_urad": _Key(10.0, "float", _non_negative),
-        "strong_sigma_urad": _Key(20.0, "float", _non_negative),
-        "eta_tx": _Key(0.8, "float", _fraction),
-        "eta_rx": _Key(0.8, "float", _fraction),
-        "eta_det": _Key(0.5, "float", _fraction),
-        "eta_atm": _Key(1.0, "float", _fraction),
+        "weak_sigma_urad": _Key(3.3, _non_negative),
+        "moderate_sigma_urad": _Key(10.0, _non_negative),
+        "strong_sigma_urad": _Key(20.0, _non_negative),
+        "eta_tx": _Key(0.8, _fraction),
+        "eta_rx": _Key(0.8, _fraction),
+        "eta_det": _Key(0.5, _fraction),
+        "eta_atm": _Key(1.0, _fraction),
     },
     "noise": {
-        "radiance_w_m2_nm_sr": _Key(0.0, "float", _non_negative),
-        "fov_sr": _Key(1e-8, "float", _non_negative),
-        "filter_nm": _Key(1.0, "float", _non_negative),
-        "gate_ns": _Key(1.0, "float", _positive),
-        "dark_hz": _Key(200.0, "float", _non_negative),
+        "radiance_w_m2_nm_sr": _Key(0.0, _non_negative),
+        "fov_sr": _Key(1e-8, _non_negative),
+        "filter_nm": _Key(1.0, _non_negative),
+        "gate_ns": _Key(1.0, _positive),
+        "dark_hz": _Key(200.0, _non_negative),
     },
     "protocol": {
-        "source_rate_mhz": _Key(200.0, "float", _positive),
-        "mu3": _Key(0.0, "float", _non_negative),
+        "source_rate_mhz": _Key(200.0, _positive),
+        "mu3": _Key(0.0, _non_negative),
     },
     "optimizer": {
-        "mu1_min": _Key(0.3, "float", _intensity),
-        "mu1_max": _Key(1.0, "float", _intensity),
-        "mu2_min": _Key(0.05, "float", _intensity),
-        "mu2_max": _Key(0.35, "float", _intensity),
-        "px_min": _Key(0.5, "float", _prob_open),
-        "px_max": _Key(0.9, "float", _prob_open),
-        "p1_min": _Key(0.3, "float", _prob_open),
-        "p1_max": _Key(0.8, "float", _prob_open),
-        "p2_min": _Key(0.1, "float", _prob_open),
-        "p2_max": _Key(0.5, "float", _prob_open),
+        "mu1_min": _Key(0.3, _intensity),
+        "mu1_max": _Key(1.0, _intensity),
+        "mu2_min": _Key(0.05, _intensity),
+        "mu2_max": _Key(0.35, _intensity),
+        "px_min": _Key(0.5, _prob_open),
+        "px_max": _Key(0.9, _prob_open),
+        "p1_min": _Key(0.3, _prob_open),
+        "p1_max": _Key(0.8, _prob_open),
+        "p2_min": _Key(0.1, _prob_open),
+        "p2_max": _Key(0.5, _prob_open),
     },
     "security": {
-        "eps_sec": _Key(1e-9, "float", _prob_open),
-        "eps_cor": _Key(1e-15, "float", _prob_open),
-        "f_ec": _Key(1.16, "float", lambda v: None if v >= 1.0 else "must be >= 1"),
-        "e_intrinsic": _Key(
-            0.01, "float",
-            lambda v: None if 0.0 <= v < 0.5 else "must be in [0, 0.5)"),
+        "eps_sec": _Key(1e-9, _prob_open),
+        "eps_cor": _Key(1e-15, _prob_open),
+        "f_ec": _Key(1.16, lambda v: None if v >= 1.0 else "must be >= 1"),
+        "e_intrinsic": _Key(0.01, lambda v: None if 0.0 <= v < 0.5 else "must be in [0, 0.5)"),
     },
     "skl": {
-        "dt_values_s": _Key(tuple(float(x) for x in range(10, 101, 10)),
-                            "float_list", _window_list),
+        "dt_values_s": _Key(tuple(float(x) for x in range(10, 101, 10)), _window_list),
     },
     "entanglement": {
-        "pair_mean": _Key(0.1, "float", _positive),
+        "pair_mean": _Key(0.1, _positive),
         # Read by no study.  Kept because removing a key changes the digest
         # and the `# config` lines of every report on every scenario.
-        "pair_rate_mhz": _Key(10.0, "float", _positive),
+        "pair_rate_mhz": _Key(10.0, _positive),
     },
     "fidelity": {
-        "radiance_min_w_m2_nm_sr": _Key(1e-7, "float", _positive),
-        "radiance_max_w_m2_nm_sr": _Key(1e-1, "float", _positive),
-        "radiance_points": _Key(25, "int", _count),
+        "radiance_min_w_m2_nm_sr": _Key(1e-7, _positive),
+        "radiance_max_w_m2_nm_sr": _Key(1e-1, _positive),
+        "radiance_points": _Key(25, _count),
     },
     "turbulence": {
-        "ground_cn2": _Key(1.7e-14, "float", _at_most(1e-10, _positive)),
-        "rms_wind_ms": _Key(21.0, "float", _positive),
-        "ground_wind_ms": _Key(5.0, "float", _non_negative),
-        "slew_mode": _Key("fixed", "str", _choice("fixed", "pass_peak")),
-        "slew_rad_s": _Key(0.0, "float", _non_negative),
-        "h_cap_km": _Key(30.0, "float", _positive),
-        "zenith_min_deg": _Key(0.0, "float", _angle_deg),
-        "zenith_max_deg": _Key(80.0, "float", _angle_deg),
-        "zenith_points": _Key(33, "int", _count),
-        "wavelengths_nm": _Key((810.0, 1550.0), "float_list",
-                               _float_list_increasing),
+        "ground_cn2": _Key(1.7e-14, _at_most(1e-10, _positive)),
+        "rms_wind_ms": _Key(21.0, _positive),
+        "ground_wind_ms": _Key(5.0, _non_negative),
+        "slew_mode": _Key("fixed", _choice("fixed", "pass_peak")),
+        "slew_rad_s": _Key(0.0, _non_negative),
+        "h_cap_km": _Key(30.0, _positive),
+        "zenith_min_deg": _Key(0.0, _angle_deg),
+        "zenith_max_deg": _Key(80.0, _zenith_deg),
+        "zenith_points": _Key(33, _count),
+        "wavelengths_nm": _Key((810.0, 1550.0), _float_list_increasing),
     },
 }
 
 
-def _finite(raw: str) -> float:
+def _parse_value(default: Any, raw: str) -> Any:
+    """Read ``raw`` as the type of ``default``; a tuple as its items' type, split
+    at commas.  Raises ``ValueError``."""
+    if isinstance(default, tuple):
+        return tuple(_parse_value(default[0], part) for part in raw.split(",") if part.strip())
+    if isinstance(default, str):
+        return raw.strip()
     value = float(raw)
     if not math.isfinite(value):
         raise ValueError("not a finite number")
+    if isinstance(default, int):
+        if value != int(value):
+            raise ValueError("not an integer")
+        return int(value)
     return value
-
-
-def _parse_value(kind: str, raw: str, line: int, column: int, where: str) -> Any:
-    try:
-        if kind == "float":
-            return _finite(raw)
-        if kind == "int":
-            value = _finite(raw)
-            if value != int(value):
-                raise ValueError("not an integer")
-            return int(value)
-        if kind == "str":
-            return raw
-        if kind == "float_list":
-            return tuple(_finite(part) for part in raw.split(",") if part.strip())
-        if kind == "str_list":
-            return tuple(part.strip() for part in raw.split(",") if part.strip())
-    except ValueError as exc:
-        raise ScenarioError(f"{where}: cannot parse {raw!r} as {kind}: {exc}",
-                            line, column) from exc
-    raise AssertionError(f"unhandled kind {kind}")
 
 
 def _format_value(value: Any) -> str:
@@ -274,24 +265,16 @@ def _validate_cross_keys(values: dict[str, dict[str, Any]]) -> None:
     if p["tx_altitude_km"] <= p["rx_altitude_km"]:
         raise ScenarioError(
             "pass.tx_altitude_km must exceed pass.rx_altitude_km")
-    if p["static_zenith_deg"] >= 90.0:
-        raise ScenarioError("pass.static_zenith_deg must be < 90")
     if p["max_elevation_deg"] < p["horizon_elevation_deg"]:
         raise ScenarioError(
             "pass.max_elevation_deg must be >= pass.horizon_elevation_deg")
-    opt = values["optimizer"]
-    for name in ("mu1", "mu2", "px", "p1", "p2"):
-        if opt[f"{name}_min"] >= opt[f"{name}_max"]:
-            raise ScenarioError(
-                f"optimizer.{name}_min must be below optimizer.{name}_max")
-    fid = values["fidelity"]
-    if fid["radiance_min_w_m2_nm_sr"] >= fid["radiance_max_w_m2_nm_sr"]:
-        raise ScenarioError("fidelity radiance range must be increasing")
+    # Each range is an X_min key below its X_max twin in the same section.
+    for section, keys in values.items():
+        for low in [key for key in keys if "_min" in key]:
+            high = low.replace("_min", "_max")
+            if keys[low] >= keys[high]:
+                raise ScenarioError(f"{section}.{low} must be below {section}.{high}")
     turb = values["turbulence"]
-    if turb["zenith_min_deg"] >= turb["zenith_max_deg"]:
-        raise ScenarioError("turbulence zenith range must be increasing")
-    if turb["zenith_max_deg"] >= 90.0:
-        raise ScenarioError("turbulence.zenith_max_deg must be < 90")
     if turb["zenith_points"] * len(turb["wavelengths_nm"]) > _MAX_MESH:
         raise ScenarioError("turbulence.zenith_points times the number of "
                             f"turbulence.wavelengths_nm must be <= {_MAX_MESH}")
@@ -323,8 +306,14 @@ def _set_key(parsed: dict[str, dict[str, Any]], section: str, key: str,
         raise ScenarioError(f"duplicate key '{key}' in section [{section}]",
                             line, column)
     spec = SCHEMA[section][key]
-    value = _parse_value(spec.kind, raw_value, line, column, f"{section}.{key}")
-    problem = spec.check(value) if spec.check is not None else None
+    try:
+        value = _parse_value(spec.default, raw_value)
+    except ValueError as exc:
+        kind = (f"{type(spec.default[0]).__name__}_list" if isinstance(spec.default, tuple)
+                else type(spec.default).__name__)
+        raise ScenarioError(f"{section}.{key}: cannot parse {raw_value!r} as {kind}: {exc}",
+                            line, column) from exc
+    problem = spec.check(value)
     if problem:
         raise ScenarioError(f"{section}.{key} {problem}, got {raw_value}",
                             line, column)

@@ -169,6 +169,22 @@ class TestSystemLoss:
         assert total == pytest.approx(parts, abs=1e-9)
 
 
+class TestNoiseEnvironment:
+    @pytest.mark.parametrize("name", ["spectral_radiance", "fov", "filter_bandwidth",
+                                      "gate_time", "dark_count_rate"])
+    def test_negative_field_names_itself(self, name):
+        with pytest.raises(ValueError, match=rf"^{name} must be >= 0$"):
+            NoiseEnvironment(**{name: -1e-12})
+
+    def test_zero_fields_accepted(self):
+        NoiseEnvironment(0.0, 0.0, 0.0, 0.0, 0.0)
+
+    def test_radiance_array_with_one_negative_entry(self):
+        NoiseEnvironment(spectral_radiance=np.array([0.0, 1e-3, 2e-3]))
+        with pytest.raises(ValueError, match="^spectral_radiance must be >= 0$"):
+            NoiseEnvironment(spectral_radiance=np.array([1e-3, -1e-9, 2e-3]))
+
+
 class TestBackgroundCounts:
     def test_dark_only_and_zero(self):
         budget = make_budget()

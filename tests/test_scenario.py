@@ -1,11 +1,14 @@
 """Scenario parsing, defaults, diagnostics, digest, metadata round-trip."""
 
+import contextlib
 import dataclasses
+import io
 
 import pytest
 
-from skyqlink import scenario, studies
+from skyqlink import cli, scenario, studies
 from skyqlink.scenario import (
+    SCHEMA,
     ScenarioError,
     parse_scenario,
     parse_scenario_text,
@@ -157,6 +160,104 @@ class TestDiagnostics:
             scenario_from_config_lines(lines)
         lines[0] = "turbulence.zenith_points = 50000"
         assert scenario_from_config_lines(lines).get("turbulence", "zenith_points") == 50000
+
+
+class TestSchema:
+    """Each key's type is its default's type; each rule's data is in SCHEMA."""
+
+    @pytest.mark.parametrize("section,key", [(s, k) for s in SCHEMA for k in SCHEMA[s]])
+    def test_default_round_trips_with_its_type_and_passes_its_check(self, section, key):
+        default, check = SCHEMA[section][key]
+        value = scenario._parse_value(default, scenario._format_value(default))
+        assert value == default
+        assert type(value) is type(default)
+        if isinstance(default, tuple):
+            # The first item gives the item type, so a list default has one.
+            assert default
+            assert [type(v) for v in value] == [type(v) for v in default]
+        assert check(default) is None
+
+    def test_every_min_key_has_its_max_twin(self):
+        lows = [(s, k) for s in SCHEMA for k in SCHEMA[s] if "_min" in k]
+        assert len(lows) == 7
+        for section, low in lows:
+            assert low.replace("_min", "_max") in SCHEMA[section]
+
+    def test_pointing_levels_are_the_sigma_keys(self):
+        levels = [k.removesuffix("_sigma_urad") for k in SCHEMA["link"]
+                  if k.endswith("_sigma_urad")]
+        assert levels == ["weak", "moderate", "strong"]
+        assert scenario._level_list(tuple(levels)) is None
+        assert scenario._level_list(("weak", "wobbly")) == (
+            "unknown pointing level(s) ['wobbly']; allowed: weak, moderate, strong")
+        for scn in [parse_scenario_text("")] + [parse_scenario(bundled_path(n)) for n in BUNDLED]:
+            for name in scn.get("link", "pointing_levels"):
+                assert f"{name}_sigma_urad" in SCHEMA["link"]
+            assert [label for label, _ in studies.pointing_levels(scn)] == list(
+                scn.get("link", "pointing_levels"))
+
+
+MESH_WAVELENGTHS = ", ".join(str(800 + 10 * i) for i in range(11))
+RANGE_PAIRS = [
+    ("optimizer", "mu1_min", "0.9", "mu1_max", "0.5"),
+    ("optimizer", "mu2_min", "0.3", "mu2_max", "0.3"),
+    ("optimizer", "px_min", "0.8", "px_max", "0.6"),
+    ("optimizer", "p1_min", "0.7", "p1_max", "0.7"),
+    ("optimizer", "p2_min", "0.4", "p2_max", "0.2"),
+    ("fidelity", "radiance_min_w_m2_nm_sr", "1", "radiance_max_w_m2_nm_sr", "0.5"),
+    ("turbulence", "zenith_min_deg", "70", "zenith_max_deg", "60"),
+]
+# (section, [(key, raw)...], message); a per-key rule's message gains the line
+# and column of its last key, which the test fills in.
+CROSS_KEY_RULES = [
+    (section, [(low, low_raw), (high, high_raw)],
+     f"{section}.{low} must be below {section}.{high}")
+    for section, low, low_raw, high, high_raw in RANGE_PAIRS
+] + [
+    ("pass", [("tx_altitude_km", "5"), ("rx_altitude_km", "20")],
+     "pass.tx_altitude_km must exceed pass.rx_altitude_km"),
+    ("pass", [("tx_altitude_km", "20"), ("rx_altitude_km", "20")],
+     "pass.tx_altitude_km must exceed pass.rx_altitude_km"),
+    ("pass", [("max_elevation_deg", "5"), ("horizon_elevation_deg", "10")],
+     "pass.max_elevation_deg must be >= pass.horizon_elevation_deg"),
+    ("turbulence", [("zenith_points", "100000"), ("wavelengths_nm", MESH_WAVELENGTHS)],
+     "turbulence.zenith_points times the number of turbulence.wavelengths_nm "
+     "must be <= 1000000"),
+    ("pass", [("static_zenith_deg", "90")], "pass.static_zenith_deg must be < 90, got 90"),
+    ("turbulence", [("zenith_max_deg", "90")], "turbulence.zenith_max_deg must be < 90, got 90"),
+]
+
+
+class TestCrossKeyRules:
+    """Every rule that spans keys, or bounds a zenith below 90, exits 2 cleanly."""
+
+    @pytest.mark.parametrize("section,keys,message", CROSS_KEY_RULES)
+    def test_from_scenario_file(self, tmp_path, section, keys, message):
+        path = tmp_path / "case.scn"
+        path.write_text(f"[{section}]\n" + "".join(f"{k} = {v}\n" for k, v in keys))
+        if "got" in message:
+            message += f" (line {len(keys) + 1}, column 1)"
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["pass", "--scenario", str(path), "--out", str(tmp_path / "out.csv")])
+        assert code == cli.EXIT_CONFIG
+        assert stderr.getvalue() == f"configuration error: {message}\n"
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("section,keys,message", CROSS_KEY_RULES)
+    def test_from_config_lines(self, section, keys, message):
+        lines = [f"# config {section}.{k} = {v}" for k, v in keys]
+        if "got" in message:
+            message += f" (line {len(keys)}, column 1)"
+        with pytest.raises(ScenarioError) as info:
+            scenario_from_config_lines(lines)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("section,key", [("pass", "static_zenith_deg"),
+                                             ("turbulence", "zenith_max_deg")])
+    def test_zenith_just_below_90_is_accepted(self, section, key):
+        scn = parse_scenario_text(f"[{section}]\n{key} = 89.999\n")
+        assert scn.get(section, key) == 89.999
 
 
 class TestDigestAndRoundTrip:

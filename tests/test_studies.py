@@ -724,7 +724,7 @@ FUZZ_SECTIONS = {
 }
 FUZZ_KEYS = {study: [(section, key) for section in sections
                      for key, spec in SCHEMA[section].items()
-                     if spec.kind in ("float", "int") and (section, key) not in SIZE_KEYS]
+                     if isinstance(spec.default, (float, int)) and (section, key) not in SIZE_KEYS]
              for study, sections in FUZZ_SECTIONS.items()}
 # The whole float line, plus dense draws in the ranges where keys live.
 VALUES = st.one_of(
