@@ -55,6 +55,11 @@ def _at_most(cap: float, low: Callable[[float], str | None]
     return check
 
 
+def _security_budget(v: float) -> str | None:
+    # A smaller eps_sec overflows (21 / eps_sec) * (21 / eps_sec) in the phase-error bound.
+    return _prob_open(v) or (None if v >= 1e-150 else "must be >= 1e-150")
+
+
 def _intensity(v: float) -> str | None:
     # Smaller intensities underflow mu1 * mu1 and the decoy-bound denominator.
     return None if v >= 1e-6 else "must be >= 1e-06"
@@ -70,8 +75,9 @@ def _angle_deg(v: float) -> str | None:
     return None if 0.0 <= v <= 90.0 else "must be in [0, 90] degrees"
 
 
-def _zenith_deg(v: float) -> str | None:
-    # At 90 degrees the path lies along the horizon: its slant range and air mass diverge.
+def _below_90_deg(v: float) -> str | None:
+    # At 90 degrees a zenith path lies along the horizon, so its slant range and
+    # air mass diverge, and a horizon cut at the zenith leaves no pass to sample.
     return _angle_deg(v) or (None if v < 90.0 else "must be < 90")
 
 
@@ -118,9 +124,9 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "tx_altitude_km": _Key(535.0, _at_most(1e5, _positive)),
         "rx_altitude_km": _Key(20.0, _at_most(1e5, _non_negative)),
         "max_elevation_deg": _Key(90.0, _angle_deg),
-        "horizon_elevation_deg": _Key(10.0, _angle_deg),
+        "horizon_elevation_deg": _Key(10.0, _below_90_deg),
         "sample_interval_s": _Key(1.0, _positive),
-        "static_zenith_deg": _Key(40.0, _zenith_deg),
+        "static_zenith_deg": _Key(40.0, _below_90_deg),
         "static_duration_s": _Key(60.0, _positive),
     },
     "link": {
@@ -164,7 +170,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "p2_max": _Key(0.5, _prob_open),
     },
     "security": {
-        "eps_sec": _Key(1e-9, _prob_open),
+        "eps_sec": _Key(1e-9, _security_budget),
         "eps_cor": _Key(1e-15, _prob_open),
         "f_ec": _Key(1.16, lambda v: None if v >= 1.0 else "must be >= 1"),
         "e_intrinsic": _Key(0.01, lambda v: None if 0.0 <= v < 0.5 else "must be in [0, 0.5)"),
@@ -191,7 +197,7 @@ SCHEMA: dict[str, dict[str, _Key]] = {
         "slew_rad_s": _Key(0.0, _non_negative),
         "h_cap_km": _Key(30.0, _positive),
         "zenith_min_deg": _Key(0.0, _angle_deg),
-        "zenith_max_deg": _Key(80.0, _zenith_deg),
+        "zenith_max_deg": _Key(80.0, _below_90_deg),
         "zenith_points": _Key(33, _count),
         "wavelengths_nm": _Key((810.0, 1550.0), _float_list_increasing),
     },

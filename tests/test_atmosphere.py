@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from skyqlink.atmosphere import (
+    _W,
+    _X,
     SlantPath,
     TurbulenceProfile,
     _moment,
@@ -200,6 +202,24 @@ class TestQuadratureAgreement:
             refined = simpson_moment(integrand, 0.0, 30e3, 20000)
             assert abs(refined - coarse) / refined < 1e-3
             assert computed == pytest.approx(to_metric(refined), rel=1e-3)
+
+
+class TestStoredRule:
+    """The stored 32-point Gauss-Legendre table against numpy's own rule."""
+
+    def test_table_is_mirror_symmetric(self):
+        assert len(_X) == len(_W) == 32
+        assert np.array_equal(_X, -_X[::-1])
+        assert np.array_equal(_W, _W[::-1])
+        assert np.all(np.diff(_X) > 0)
+
+    def test_nodes_and_weights_match_leggauss(self):
+        x, w = np.polynomial.legendre.leggauss(32)
+        assert np.all(np.abs(_X - x) <= np.spacing(np.abs(x)))
+        assert np.all(np.abs(_W - w) <= np.spacing(w))
+
+    def test_weights_sum_to_two(self):
+        assert abs(math.fsum(_W) - 2.0) <= np.spacing(2.0)
 
 
 class TestMomentRule:

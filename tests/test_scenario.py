@@ -225,11 +225,14 @@ CROSS_KEY_RULES = [
      "must be <= 1000000"),
     ("pass", [("static_zenith_deg", "90")], "pass.static_zenith_deg must be < 90, got 90"),
     ("turbulence", [("zenith_max_deg", "90")], "turbulence.zenith_max_deg must be < 90, got 90"),
+    ("pass", [("max_elevation_deg", "90"), ("horizon_elevation_deg", "90")],
+     "pass.horizon_elevation_deg must be < 90, got 90"),
+    ("security", [("eps_sec", "1e-200")], "security.eps_sec must be >= 1e-150, got 1e-200"),
 ]
 
 
 class TestCrossKeyRules:
-    """Every rule that spans keys, or bounds a zenith below 90, exits 2 cleanly."""
+    """Every rule that spans keys, bounds an angle below 90 or eps_sec at 1e-150, exits 2 cleanly."""
 
     @pytest.mark.parametrize("section,keys,message", CROSS_KEY_RULES)
     def test_from_scenario_file(self, tmp_path, section, keys, message):
@@ -258,6 +261,12 @@ class TestCrossKeyRules:
     def test_zenith_just_below_90_is_accepted(self, section, key):
         scn = parse_scenario_text(f"[{section}]\n{key} = 89.999\n")
         assert scn.get(section, key) == 89.999
+
+    @pytest.mark.parametrize("section,key,raw", [("pass", "horizon_elevation_deg", "89.999"),
+                                                 ("security", "eps_sec", "1e-150")])
+    def test_values_at_the_edge_are_accepted(self, section, key, raw):
+        scn = parse_scenario_text(f"[{section}]\n{key} = {raw}\n")
+        assert scn.get(section, key) == float(raw)
 
 
 class TestDigestAndRoundTrip:

@@ -526,6 +526,7 @@ code = cli.main(sys.argv[2:] + ["--out", sys.argv[1] + "/report.csv",
                                 "--svg", sys.argv[1] + "/figure.svg"])
 assert code == 0, code
 print(physics())
+print("numpy.polynomial" in sys.modules)
 """
 
 
@@ -542,7 +543,8 @@ class TestColdImports:
                                str(tmp_path), *args],
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines() == ["[]", repr(loaded)]
+        # No study loads numpy.polynomial: the turbulence rule is a stored table.
+        assert proc.stdout.splitlines() == ["[]", repr(loaded), "False"]
 
 
 class TestCli:
@@ -595,7 +597,7 @@ class TestCli:
                                    "tx_altitude_km = 1e-12"), 3),
         ("turbulence", FIG4_TEXT.replace("tx_altitude_km = 535",
                                          "tx_altitude_km = 1e-12"), 3),
-        ("skl", "[security]\neps_sec = 1e-300\n", 3),
+        ("skl", "[security]\neps_sec = 1e-300\n", 2),
     ], ids=["tiny-intensity", "huge-altitude", "fig4-huge-cn2",
             "fig4-tiny-altitude-pass", "fig4-tiny-altitude-turbulence",
             "tiny-security-budget"])
@@ -626,6 +628,20 @@ class TestCli:
         assert code == 3
         assert stderr.startswith(f"numerical failure: {study} study failed")
         assert all(name in stderr for name in names)
+        assert csv_text is None
+
+    @pytest.mark.parametrize("study", ["pass", "skl", "fidelity", "turbulence"])
+    @pytest.mark.parametrize("text, message", [
+        ("[security]\neps_sec = 1e-200\n",
+         "security.eps_sec must be >= 1e-150, got 1e-200 (line 2, column 1)"),
+        ("[pass]\nmax_elevation_deg = 90\nhorizon_elevation_deg = 90\n",
+         "pass.horizon_elevation_deg must be < 90, got 90 (line 3, column 1)"),
+    ], ids=["tiny-security-budget", "horizon-at-zenith"])
+    def test_schema_bounds_exit_2_in_every_study(self, tmp_path, study, text, message):
+        # Both values fail only deep inside one study unless the schema rejects them.
+        code, stderr, csv_text = run_main(study, text, tmp_path)
+        assert code == cli.EXIT_CONFIG
+        assert stderr == f"configuration error: {message}\n"
         assert csv_text is None
 
     def test_missing_scenario_exit_2(self):
